@@ -61,9 +61,10 @@ chaos-smoke:
 # Async-job smoke: 1 single-job-worker shard + router as real processes; six
 # async bulk sweeps stack a deep sweep-leg backlog, an interactive job
 # submitted behind it must finish while the last sweep still runs, the async
-# merged record must diff clean against the in-process sweep, and a repeat
-# job must be served from the router's completed-result cache without
-# crossing the fleet.
+# merged record must diff clean against the in-process sweep, a repeat job
+# must be served from the router's completed-result cache without crossing
+# the fleet, and a prefetch-labelled sweep must finish with no degraded leg
+# and no shard indicted.
 async-smoke:
 	bash scripts/async_smoke.sh
 

@@ -1,14 +1,16 @@
 package service
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
-	"repro/internal/cliutil"
 	"repro/internal/jobs"
-	"repro/internal/search/pool"
 )
 
 // Async sweeps: a sweep is a first-class job with a durable handle. POST
@@ -19,12 +21,21 @@ import (
 // the synchronous path would have gathered — is byte-identical to a
 // synchronous single-node sweep.
 //
+// One orchestrator, Sweeps, runs this state machine for both tiers: the
+// handle store, leg fold-in (first completion wins), expire-vs-fail, the
+// merge, the sweep's absolute deadline and the dispatch order exist once.
+// A tier only says how one leg runs, through a LegRunner: the daemon submits
+// the leg as a local job and waits on it (localLegs below); the router
+// serves it from its result cache or drives it across the fleet with
+// failover (internal/shard).
+//
 // Dispatch is SupraX-style critical-path-first: the merge barrier waits on
 // the slowest leg, so the legs gating the most downstream work (estimated
 // by the architecture's die count, which bounds the strategy space the leg
-// explores) are submitted first at the highest within-class criticality,
-// and light legs fill the remaining worker slots. All legs ride the
-// "sweep-leg" priority class, strictly below interactive traffic.
+// explores) are dispatched first at the highest within-class criticality,
+// and light legs fill the remaining worker slots. Legs ride the sweep's own
+// demand class; an unlabelled or prefetch-labelled sweep rides "sweep-leg"
+// (see ExpandSweep).
 
 // SweepLeg is the live status of one scattered sweep part inside a handle.
 type SweepLeg struct {
@@ -118,19 +129,6 @@ func (s SweepStatus) ToResult() (SweepResult, error) {
 	return out, nil
 }
 
-// LegCriticality estimates how much downstream merge work a sweep leg
-// gates: the die count of its architecture bounds the (TP, PP) strategy
-// space the leg explores, so heavier-die legs run longest and the merge
-// barrier waits on them. Dispatching them first (LPT order) minimizes the
-// barrier's wait; unknown configs weigh zero and fill idle slots last.
-func LegCriticality(config string) int {
-	cands, err := cliutil.ArchCandidates(config)
-	if err != nil || len(cands) != 1 {
-		return 0
-	}
-	return cands[0].Dies()
-}
-
 // sweepDispatchOrder returns leg indices in dispatch order: criticality
 // descending, sweep order ascending on ties — deterministic critical-path-
 // first submission.
@@ -145,14 +143,67 @@ func sweepDispatchOrder(legs []SweepLeg) []int {
 	return order
 }
 
-// StartSweep expands a sweep request, registers a durable handle, and
-// scatters the legs as prioritized jobs — heaviest first — returning the
-// handle immediately. Legs complete in the background; LookupSweep polls
-// the handle, WaitSweep blocks on it. A submission failure (backpressure,
+// LegRunner runs sweep legs on one tier for the Sweeps orchestrator.
+type LegRunner interface {
+	// Ready refuses a whole sweep before its handle is minted (the
+	// router's empty fleet); nil lets it through.
+	Ready() error
+	// Admit starts one leg on the submitting goroutine, in dispatch order.
+	// An error fails the sweep synchronously. A terminal leg (a cache hit)
+	// folds in at once; otherwise its job ID and coalescing are recorded
+	// and Finish completes it.
+	Admit(part Request) (SweepLeg, error)
+	// Finish runs on the leg's own goroutine and returns the admitted leg
+	// made terminal. deadline is the sweep's absolute budget (zero = none),
+	// shared by every leg.
+	Finish(part Request, admitted SweepLeg, deadline time.Time) SweepLeg
+}
+
+// Sweeps is the sweep-handle orchestrator both tiers serve /v1/sweeps from:
+// a bounded store of durable handles, the done channels synchronous waiters
+// block on, and the count of sweeps merged.
+type Sweeps struct {
+	run    LegRunner
+	limits func() (ttl time.Duration, history int)
+
+	once   sync.Once
+	store  *jobs.Store[SweepStatus]
+	merged atomic.Uint64
+
+	mu   sync.Mutex
+	done map[string]chan struct{} // closed when a handle goes terminal
+}
+
+// NewSweeps returns an orchestrator driving legs through run. limits yields
+// the handle store's TTL and size cap (see jobs.Options); it is read once,
+// on first use, so a tier may set its limits after construction.
+func NewSweeps(run LegRunner, limits func() (ttl time.Duration, history int)) *Sweeps {
+	return &Sweeps{run: run, limits: limits, done: make(map[string]chan struct{})}
+}
+
+func (sw *Sweeps) handles() *jobs.Store[SweepStatus] {
+	sw.once.Do(func() {
+		ttl, history := sw.limits()
+		sw.store = jobs.NewStore[SweepStatus](jobs.Options{
+			Prefix:     "swp",
+			TTL:        ttl,
+			MaxEntries: history,
+		}, cloneSweepStatus)
+	})
+	return sw.store
+}
+
+// Start expands a sweep request, registers a durable handle, and dispatches
+// the legs — heaviest first — returning the handle immediately. Legs finish
+// on their own goroutines, outliving the submitting request; Lookup polls
+// the handle, Wait blocks on it. An admission failure (backpressure,
 // draining) fails the handle and is returned as the error.
-func (s *Server) StartSweep(req Request) (SweepStatus, error) {
+func (sw *Sweeps) Start(req Request) (SweepStatus, error) {
 	norm, parts, err := ExpandSweep(req)
 	if err != nil {
+		return SweepStatus{}, err
+	}
+	if err := sw.run.Ready(); err != nil {
 		return SweepStatus{}, err
 	}
 	legs := make([]SweepLeg, len(parts))
@@ -160,185 +211,178 @@ func (s *Server) StartSweep(req Request) (SweepStatus, error) {
 		legs[i] = SweepLeg{
 			Config:      p.Config,
 			Fingerprint: p.Fingerprint(),
-			Criticality: LegCriticality(p.Config),
+			Criticality: p.Criticality,
 			State:       StateQueued,
 		}
 	}
-	id, _ := s.sweeps.Create(func(id string) SweepStatus {
+	// The deadline budget is absolute from here: every leg shares it, and
+	// retries or failovers spend from it rather than restarting it.
+	now := time.Now()
+	deadline := norm.Deadline(now)
+	store := sw.handles()
+	id, _ := store.Create(func(id string) SweepStatus {
 		return SweepStatus{
 			ID:          id,
 			State:       StateRunning,
 			Fingerprint: norm.Fingerprint(),
 			Total:       len(parts),
 			Legs:        legs,
-			SubmittedAt: time.Now(),
+			SubmittedAt: now,
+			Deadline:    deadline,
 		}
 	})
-	s.mu.Lock()
-	s.sweepDone[id] = make(chan struct{})
-	s.mu.Unlock()
+	sw.mu.Lock()
+	sw.done[id] = make(chan struct{})
+	sw.mu.Unlock()
 
 	for _, i := range sweepDispatchOrder(legs) {
-		part := parts[i]
-		// Legs ride the sweep's requested class end-to-end: an interactive
-		// sweep's legs overtake queued bulk work, a background sweep's legs
-		// yield to everything. Only an unlabelled sweep defaults to the
-		// bulk sweep-leg class — for legs, "no label" means batch work, not
-		// the somebody-is-waiting default a single job gets. The class is
-		// clamped to the demand range: a "prefetch"-labelled sweep would
-		// put its legs in the speculative class, where demand arrival
-		// cancels them and breaks the merge barrier — legs raise to
-		// sweep-leg instead (and nothing above interactive exists to raise
-		// to).
-		if part.Priority == "" || part.Priority == pool.Prefetch.String() {
-			part.Priority = pool.SweepLeg.String()
-		}
-		part.Criticality = legs[i].Criticality
-		j, coalesced, err := s.Submit(part)
+		leg, err := sw.run.Admit(parts[i])
 		if err != nil {
-			s.failSweep(id, fmt.Sprintf("sweep part %s: %v", part.Config, err))
-			st, _ := s.sweeps.Get(id)
-			return st, fmt.Errorf("service: sweep part %s: %w", part.Config, err)
-		}
-		idx := i
-		s.sweeps.Update(id, func(st *SweepStatus) {
-			st.Legs[idx].JobID = j.ID
-			st.Legs[idx].Coalesced = coalesced
-		})
-		go s.watchLeg(id, idx, j.ID)
-	}
-	st, err := s.sweeps.Get(id)
-	if err != nil {
-		return SweepStatus{}, err
-	}
-	return st, nil
-}
-
-// watchLeg waits for one leg's job to go terminal and folds it into the
-// handle. One goroutine per leg: the job's done channel is the only wake
-// signal, so no polling.
-func (s *Server) watchLeg(id string, idx int, jobID string) {
-	j, err := s.Wait(jobID)
-	if err != nil {
-		j = Job{ID: jobID, State: StateFailed, Error: err.Error()}
-	}
-	s.legDone(id, idx, j)
-}
-
-// legDone folds a terminal leg job into the sweep handle; the last
-// successful leg triggers the merge. It is the router's entry point too —
-// router legs complete via runLeg rather than a local job, but fold in
-// identically.
-func (s *Server) legDone(id string, idx int, j Job) {
-	var complete bool
-	var results []*Result
-	err := s.sweeps.Update(id, func(st *SweepStatus) {
-		leg := &st.Legs[idx]
-		if leg.State.Terminal() {
-			return // duplicate completion (failover race); first wins
-		}
-		leg.State = j.State
-		if j.ID != "" {
-			leg.JobID = j.ID
-		}
-		st.Completed++
-		if j.State == StateDone {
-			leg.Result = j.Result
-		} else {
-			leg.Error = j.Error
-			if st.State == StateRunning {
-				// A leg killed by its own deadline surfaces as
-				// deadline_exceeded on the sweep too — budget exhaustion,
-				// not a fault. Any other leg failure fails the sweep.
-				if j.State == StateExpired {
-					st.State = StateExpired
-					st.Error = fmt.Sprintf("sweep part %s deadline exceeded: %s", leg.Config, j.Error)
-				} else {
-					st.State = StateFailed
-					st.Error = fmt.Sprintf("sweep part %s failed: %s", leg.Config, j.Error)
+			msg := fmt.Sprintf("sweep part %s: %v", parts[i].Config, err)
+			sw.update(id, func(st *SweepStatus) {
+				if st.State == StateRunning {
+					st.State, st.Error, st.FinishedAt = StateFailed, msg, time.Now()
 				}
-				st.FinishedAt = time.Now()
+			})
+			st, _ := store.Get(id)
+			return st, fmt.Errorf("service: sweep part %s: %w", parts[i].Config, err)
+		}
+		if leg.State.Terminal() {
+			sw.fold(id, i, leg)
+			continue
+		}
+		store.Update(id, func(st *SweepStatus) {
+			st.Legs[i].JobID, st.Legs[i].Coalesced = leg.JobID, leg.Coalesced
+		})
+		go func() { sw.fold(id, i, sw.run.Finish(parts[i], leg, deadline)) }()
+	}
+	return store.Get(id)
+}
+
+// fold records a terminal leg in the handle; a leg's first completion wins
+// (a failover race may report it twice). A failed or expired leg ends the
+// sweep — a leg killed by its own deadline as deadline_exceeded, budget
+// exhaustion rather than a fault — unless the runner absorbed it as
+// Degraded. The last leg to land triggers the merge.
+func (sw *Sweeps) fold(id string, idx int, leg SweepLeg) {
+	sw.update(id, func(st *SweepStatus) {
+		dst := &st.Legs[idx]
+		if dst.State.Terminal() {
+			return
+		}
+		leg.Config, leg.Fingerprint, leg.Criticality = dst.Config, dst.Fingerprint, dst.Criticality
+		if leg.JobID == "" {
+			leg.JobID = dst.JobID
+		}
+		*dst = leg
+		st.Completed++
+		if leg.State != StateDone && !leg.Degraded && st.State == StateRunning {
+			if leg.State == StateExpired {
+				st.State, st.Error = StateExpired, fmt.Sprintf("sweep part %s deadline exceeded: %s", leg.Config, leg.Error)
+			} else {
+				st.State, st.Error = StateFailed, fmt.Sprintf("sweep part %s failed: %s", leg.Config, leg.Error)
 			}
+			st.FinishedAt = time.Now()
 		}
 		if st.State == StateRunning && st.Completed == st.Total {
-			complete = true
-			results = make([]*Result, st.Total)
-			for i := range st.Legs {
-				results[i] = st.Legs[i].Result
-			}
+			sw.merge(st)
 		}
 	})
+}
+
+// merge assembles a handle whose every leg has landed. MergeSweepDegraded
+// runs only when a degraded leg has no row to contribute; its record
+// carries marker rows and is never byte-identical to a healthy sweep.
+func (sw *Sweeps) merge(st *SweepStatus) {
+	results := make([]*Result, st.Total)
+	configs := make([]string, st.Total)
+	reasons := make([]string, st.Total)
+	degraded := false
+	for i, leg := range st.Legs {
+		results[i], configs[i] = leg.Result, leg.Config
+		if leg.Degraded && leg.Result == nil {
+			degraded, reasons[i] = true, leg.Error
+		}
+	}
+	var merged *Result
+	var err error
+	if degraded {
+		merged, err = MergeSweepDegraded(results, configs, reasons)
+	} else {
+		merged, err = MergeSweep(results)
+	}
+	st.FinishedAt = time.Now()
 	if err != nil {
-		return // handle evicted mid-flight; nothing to fold into
+		st.State, st.Error = StateFailed, err.Error()
+		return
 	}
-	if complete {
-		merged, mergeErr := MergeSweep(results)
-		s.sweeps.Update(id, func(st *SweepStatus) {
-			if mergeErr != nil {
-				st.State = StateFailed
-				st.Error = mergeErr.Error()
-			} else {
-				st.State = StateDone
-				st.Result = merged
-			}
-			st.FinishedAt = time.Now()
-		})
-		if mergeErr == nil {
-			s.mu.Lock()
-			s.stats.SweepsRun++
-			s.mu.Unlock()
-		}
-	}
-	st, err := s.sweeps.Get(id)
-	if err == nil && st.State.Terminal() {
-		s.finishSweep(id)
-	}
+	st.State, st.Result = StateDone, merged
+	sw.merged.Add(1)
 }
 
-// failSweep marks the handle failed (if still running) and releases
-// waiters.
-func (s *Server) failSweep(id, msg string) {
-	s.sweeps.Update(id, func(st *SweepStatus) {
-		if st.State == StateRunning {
-			st.State = StateFailed
-			st.Error = msg
-			st.FinishedAt = time.Now()
-		}
+// update mutates a handle and, once it is terminal, wakes its waiters. A
+// handle evicted mid-flight is left alone: there is nothing to fold into.
+func (sw *Sweeps) update(id string, fn func(*SweepStatus)) {
+	terminal := false
+	err := sw.handles().Update(id, func(st *SweepStatus) {
+		fn(st)
+		terminal = st.State.Terminal()
 	})
-	s.finishSweep(id)
-}
-
-// finishSweep closes the handle's done channel, waking synchronous waiters.
-func (s *Server) finishSweep(id string) {
-	s.mu.Lock()
-	if ch, ok := s.sweepDone[id]; ok {
+	if err != nil || !terminal {
+		return
+	}
+	sw.mu.Lock()
+	if ch, ok := sw.done[id]; ok {
 		close(ch)
-		delete(s.sweepDone, id)
+		delete(sw.done, id)
 	}
-	s.mu.Unlock()
+	sw.mu.Unlock()
 }
 
-// LookupSweep returns a snapshot of a sweep handle: jobs.ErrGone for an
-// evicted handle (HTTP 410), jobs.ErrUnknown for a never-issued ID (404).
-func (s *Server) LookupSweep(id string) (SweepStatus, error) {
-	return s.sweeps.Get(id)
+// Lookup returns a snapshot of a sweep handle: jobs.ErrGone for an evicted
+// handle (HTTP 410), jobs.ErrUnknown for a never-issued ID (404).
+func (sw *Sweeps) Lookup(id string) (SweepStatus, error) {
+	return sw.handles().Get(id)
 }
 
-// WaitSweep blocks until the sweep handle goes terminal and returns it.
-func (s *Server) WaitSweep(id string) (SweepStatus, error) {
-	s.mu.Lock()
-	ch := s.sweepDone[id]
-	s.mu.Unlock()
+// Wait blocks until the sweep handle goes terminal or ctx ends.
+func (sw *Sweeps) Wait(ctx context.Context, id string) (SweepStatus, error) {
+	sw.mu.Lock()
+	ch := sw.done[id]
+	sw.mu.Unlock()
 	if ch != nil {
-		<-ch
+		select {
+		case <-ch:
+		case <-ctx.Done():
+			return SweepStatus{}, ctx.Err()
+		}
 	}
-	return s.sweeps.Get(id)
+	return sw.handles().Get(id)
 }
 
-// Sweeps lists the retained sweep handles, oldest first.
-func (s *Server) Sweeps() []SweepSummary {
-	var out []SweepSummary
-	s.sweeps.Each(func(id string, st SweepStatus) {
+// Run is the synchronous facade: Start, Wait, and render the SweepResult
+// payload. The blocking and the 202-handle flows share one code path, which
+// keeps the merged Canonical byte-identical between them.
+func (sw *Sweeps) Run(ctx context.Context, req Request) (SweepResult, error) {
+	st, err := sw.Start(req)
+	if err != nil {
+		return SweepResult{}, err
+	}
+	return sw.result(ctx, st.ID)
+}
+
+func (sw *Sweeps) result(ctx context.Context, id string) (SweepResult, error) {
+	st, err := sw.Wait(ctx, id)
+	if err != nil {
+		return SweepResult{}, err
+	}
+	return st.ToResult()
+}
+
+// List returns the retained sweep handles, oldest first.
+func (sw *Sweeps) List() []SweepSummary {
+	out := []SweepSummary{}
+	sw.handles().Each(func(_ string, st SweepStatus) {
 		out = append(out, SweepSummary{
 			ID:          st.ID,
 			State:       st.State,
@@ -352,15 +396,105 @@ func (s *Server) Sweeps() []SweepSummary {
 	return out
 }
 
-// SweepLookupStatus converts the handle-store sentinels into the HTTP
-// statuses shared by both daemons' handlers: 410 for evicted, 404 for
-// never issued.
+// Merged counts the sweeps merged to completion.
+func (sw *Sweeps) Merged() uint64 { return sw.merged.Load() }
+
+// AddGauges adds this orchestrator's handle gauges to st: running, done and
+// failed handles, terminal handles retained for polling, and handles
+// evicted. The router adds its own handles on top of its shards' sums.
+func (sw *Sweeps) AddGauges(st *Stats) {
+	store := sw.handles()
+	store.Each(func(_ string, h SweepStatus) {
+		switch h.State {
+		case StateRunning:
+			st.SweepsRunning++
+		case StateDone:
+			st.SweepsDone++
+		default:
+			st.SweepsFailed++
+		}
+		if h.State.Terminal() {
+			st.SweepsRetained++
+		}
+	})
+	st.SweepsEvicted += store.Evicted()
+}
+
+// Register serves the sweep API on mux. Admission errors — the failures
+// Start reports before a sweep runs — render through admitErr, the tier's
+// own status mapping; a sweep that ran and failed answers 500.
+func (sw *Sweeps) Register(mux *http.ServeMux, admitErr func(http.ResponseWriter, error)) {
+	mux.HandleFunc("POST /v1/sweeps", func(w http.ResponseWriter, r *http.Request) {
+		req, ok := DecodeRequest(w, r)
+		if !ok {
+			return
+		}
+		// Pre-validate so bad requests stay 400 on both the async and the
+		// blocking flow; later failures are admission- or execution-side.
+		if _, _, err := ExpandSweep(req); err != nil {
+			writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
+			return
+		}
+		st, err := sw.Start(req)
+		switch {
+		case err != nil:
+			admitErr(w, err)
+		case r.URL.Query().Get("wait") == "":
+			writeJSON(w, http.StatusAccepted, st)
+		default:
+			// Synchronous compatibility flow: block until the merge.
+			if res, err := sw.result(r.Context(), st.ID); err != nil {
+				writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
+			} else {
+				writeJSON(w, http.StatusOK, res)
+			}
+		}
+	})
+	mux.HandleFunc("GET /v1/sweeps", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, sw.List())
+	})
+	mux.HandleFunc("GET /v1/sweeps/{id}", func(w http.ResponseWriter, r *http.Request) {
+		id := r.PathValue("id")
+		st, err := sw.Lookup(id)
+		if err != nil {
+			writeJSON(w, SweepLookupStatus(err), errorBody{Error: "sweep " + id + ": " + err.Error()})
+			return
+		}
+		writeJSON(w, http.StatusOK, st)
+	})
+}
+
+// SweepLookupStatus converts the handle-store sentinels into HTTP statuses:
+// 410 for evicted, 404 for never issued.
 func SweepLookupStatus(err error) int {
 	switch {
 	case errors.Is(err, jobs.ErrGone):
-		return 410
+		return http.StatusGone
 	case errors.Is(err, jobs.ErrUnknown):
-		return 404
+		return http.StatusNotFound
 	}
-	return 500
+	return http.StatusInternalServerError
+}
+
+// localLegs runs a daemon's sweep legs as local jobs: Admit submits each
+// through the normal job path — identical in-flight architectures coalesce,
+// every leg lands in the shared caches, interactive work overtakes bulk
+// legs — and Finish blocks on the job's done channel, so no polling.
+type localLegs struct{ s *Server }
+
+// Ready lets every sweep through: a daemon refuses leg by leg, at Submit.
+func (l localLegs) Ready() error { return nil }
+
+func (l localLegs) Admit(part Request) (SweepLeg, error) {
+	j, coalesced, err := l.s.Submit(part)
+	return SweepLeg{JobID: j.ID, Coalesced: coalesced}, err
+}
+
+func (l localLegs) Finish(_ Request, leg SweepLeg, _ time.Time) SweepLeg {
+	j, err := l.s.Wait(leg.JobID)
+	if err != nil {
+		j = Job{State: StateFailed, Error: err.Error()}
+	}
+	leg.State, leg.Result, leg.Error = j.State, j.Result, j.Error
+	return leg
 }

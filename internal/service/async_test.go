@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -11,14 +12,14 @@ import (
 // sweepRequest is the full Table II sweep used across the async tests.
 func sweepRequest() Request { return Request{Model: "Llama2-30B", Seq: 2048} }
 
-// TestAsyncSweepHandle checks the tentpole flow: StartSweep returns a
+// TestAsyncSweepHandle checks the async flow: Sweeps.Start returns a
 // running handle immediately, legs fold in incrementally, and the final
 // merged record is byte-identical to the same sweep run as one job.
 func TestAsyncSweepHandle(t *testing.T) {
 	s := NewServer(Options{EvalWorkers: 0, JobWorkers: 2, Backlog: 16}, nil)
 	defer s.Close()
 
-	st, err := s.StartSweep(sweepRequest())
+	st, err := s.Sweeps().Start(sweepRequest())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func TestAsyncSweepHandle(t *testing.T) {
 		}
 	}
 
-	final, err := s.WaitSweep(st.ID)
+	final, err := s.Sweeps().Wait(context.Background(), st.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestInteractiveJumpsSweepBacklog(t *testing.T) {
 	}
 	<-blocked
 
-	sw, err := s.StartSweep(sweepRequest())
+	sw, err := s.Sweeps().Start(sweepRequest())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,6 +99,12 @@ func TestInteractiveJumpsSweepBacklog(t *testing.T) {
 		t.Fatalf("queue lanes = %d sweep-leg / %d interactive, want 4 / 1",
 			st.QueueSweepLeg, st.QueueInteractive)
 	}
+	// A running handle is not a retained one: retention counts terminal
+	// handles kept for polling.
+	if st := s.Stats(); st.SweepsRunning != 1 || st.SweepsRetained != 0 {
+		t.Errorf("sweep gauges mid-sweep = %d running / %d retained, want 1 / 0",
+			st.SweepsRunning, st.SweepsRetained)
+	}
 
 	close(release)
 	ijDone, err := s.Wait(ij.ID)
@@ -106,7 +113,7 @@ func TestInteractiveJumpsSweepBacklog(t *testing.T) {
 	}
 	// The single worker dispatched the interactive job before any leg, so
 	// at the moment it finished the sweep cannot have completed.
-	mid, err := s.LookupSweep(sw.ID)
+	mid, err := s.Sweeps().Lookup(sw.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +121,7 @@ func TestInteractiveJumpsSweepBacklog(t *testing.T) {
 		t.Error("sweep already terminal when the interactive job finished")
 	}
 
-	final, err := s.WaitSweep(sw.ID)
+	final, err := s.Sweeps().Wait(context.Background(), sw.ID)
 	if err != nil || final.State != StateDone {
 		t.Fatalf("sweep: %v / %s (%s)", err, final.State, final.Error)
 	}
@@ -148,7 +155,7 @@ func TestPromoteOnCoalesce(t *testing.T) {
 	}
 	<-blocked
 
-	sw, err := s.StartSweep(sweepRequest())
+	sw, err := s.Sweeps().Start(sweepRequest())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +179,7 @@ func TestPromoteOnCoalesce(t *testing.T) {
 			st.QueueInteractive, st.QueueSweepLeg)
 	}
 	close(release)
-	if _, err := s.WaitSweep(sw.ID); err != nil {
+	if _, err := s.Sweeps().Wait(context.Background(), sw.ID); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -183,26 +190,26 @@ func TestPromoteOnCoalesce(t *testing.T) {
 func TestSweepHandleEviction(t *testing.T) {
 	s := NewServer(Options{EvalWorkers: 1, SweepHistory: 1, SweepTTL: -1}, nil)
 	defer s.Close()
-	first, err := s.Sweep(Request{Model: "Llama2-30B", Config: "config3", Seq: 2048})
+	first, err := s.Sweeps().Run(context.Background(), Request{Model: "Llama2-30B", Config: "config3", Seq: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
 	_ = first
-	second, err := s.Sweep(Request{Model: "Llama2-30B", Config: "config2", Seq: 2048})
+	second, err := s.Sweeps().Run(context.Background(), Request{Model: "Llama2-30B", Config: "config2", Seq: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
 	_ = second
-	if _, err := s.LookupSweep("swp-1"); !errors.Is(err, jobs.ErrGone) {
+	if _, err := s.Sweeps().Lookup("swp-1"); !errors.Is(err, jobs.ErrGone) {
 		t.Errorf("evicted handle: err = %v, want ErrGone", err)
 	}
 	if got := SweepLookupStatus(jobs.ErrGone); got != 410 {
 		t.Errorf("SweepLookupStatus(ErrGone) = %d, want 410", got)
 	}
-	if _, err := s.LookupSweep("swp-2"); err != nil {
+	if _, err := s.Sweeps().Lookup("swp-2"); err != nil {
 		t.Errorf("retained handle: %v", err)
 	}
-	if _, err := s.LookupSweep("swp-99"); !errors.Is(err, jobs.ErrUnknown) {
+	if _, err := s.Sweeps().Lookup("swp-99"); !errors.Is(err, jobs.ErrUnknown) {
 		t.Errorf("never-issued handle: err = %v, want ErrUnknown", err)
 	}
 	if st := s.Stats(); st.SweepsEvicted != 1 || st.SweepsRetained != 1 {

@@ -41,9 +41,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	mux.HandleFunc("GET /v1/jobs", s.handleList)
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
-	mux.HandleFunc("POST /v1/sweeps", s.handleSweep)
-	mux.HandleFunc("GET /v1/sweeps", s.handleSweepList)
-	mux.HandleFunc("GET /v1/sweeps/{id}", s.handleSweepStatus)
+	s.sweeps.Register(mux, WriteSubmitError)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.HandleFunc("GET /v1/trace", s.handleTrace)
 	mux.HandleFunc("POST /v1/snapshot", s.handleSnapshot)
@@ -104,13 +102,23 @@ func WriteSubmitError(w http.ResponseWriter, err error) {
 	}
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// DecodeRequest reads a Request body for a handler, answering 400 itself
+// (and reporting false) when the body is not one.
+func DecodeRequest(w http.ResponseWriter, r *http.Request) (Request, bool) {
 	var req Request
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
 	// A typo'd field must fail loudly, not silently run the default job.
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
+		return req, false
+	}
+	return req, true
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	req, ok := DecodeRequest(w, r)
+	if !ok {
 		return
 	}
 	j, coalesced, err := s.Submit(req)
@@ -140,62 +148,6 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, j)
-}
-
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	var req Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
-		return
-	}
-	// Validation failures are the client's fault (400); failures past
-	// validation are execution-side (503 for backpressure/draining, 500
-	// otherwise). Pre-validate so the 400/503 split stays clean on the
-	// async path too.
-	if _, _, err := ExpandSweep(req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-		return
-	}
-	if r.URL.Query().Get("wait") != "" {
-		// Synchronous compatibility flow: block until the merge.
-		res, err := s.Sweep(req)
-		var shed *ShedError
-		switch {
-		case errors.As(err, &shed), errors.Is(err, ErrBusy), errors.Is(err, ErrDraining):
-			WriteSubmitError(w, err)
-		case err != nil:
-			writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
-		default:
-			writeJSON(w, http.StatusOK, res)
-		}
-		return
-	}
-	st, err := s.StartSweep(req)
-	if err != nil {
-		WriteSubmitError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, st)
-}
-
-func (s *Server) handleSweepList(w http.ResponseWriter, r *http.Request) {
-	out := s.Sweeps()
-	if out == nil {
-		out = []SweepSummary{}
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (s *Server) handleSweepStatus(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	st, err := s.LookupSweep(id)
-	if err != nil {
-		writeJSON(w, SweepLookupStatus(err), errorBody{Error: "sweep " + id + ": " + err.Error()})
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

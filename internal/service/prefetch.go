@@ -221,30 +221,35 @@ func (s *Server) noteWarmHitLocked(fp string) {
 	}
 }
 
-// predictAndPrefetch runs after a demand job completes: enumerate the
-// request's sweep neighbors, rank them by learned locality, and feed the
-// top PrefetchFanout not-yet-warm predictions into the idle-gated lane.
+// RankNeighbors returns prev's sweep neighbors ranked by the trace's learned
+// locality after prevFP, best first — the predictions both tiers' prefetchers
+// walk (each with its own issue loop and fanout).
+func RankNeighbors(trace *prefetch.Trace[TracePoint], prev Request, prevFP string) []Request {
+	neighbors := prev.SweepNeighbors()
+	byFP := make(map[string]Request, len(neighbors))
+	fps := make([]string, len(neighbors))
+	for i, n := range neighbors {
+		fps[i] = n.Fingerprint()
+		byFP[fps[i]] = n
+	}
+	ranked := make([]Request, 0, len(fps))
+	for _, fp := range trace.Rank(prevFP, fps) {
+		ranked = append(ranked, byFP[fp])
+	}
+	return ranked
+}
+
+// predictAndPrefetch runs after a demand job completes: feed the top
+// PrefetchFanout not-yet-warm ranked neighbors into the idle-gated lane.
 // Every rejection (ErrBusy: demand took the capacity, or the neighbor is
 // already warm/in flight) is silent — speculation that cannot run for free
 // simply doesn't run.
 func (s *Server) predictAndPrefetch(prev Request, prevFP string) {
-	neighbors := prev.SweepNeighbors()
-	if len(neighbors) == 0 {
-		return
-	}
-	byFP := make(map[string]Request, len(neighbors))
-	fps := make([]string, len(neighbors))
-	for i, n := range neighbors {
-		fp := n.Fingerprint()
-		fps[i] = fp
-		byFP[fp] = n
-	}
 	issued := 0
-	for _, fp := range s.trace.Rank(prevFP, fps) {
+	for _, req := range RankNeighbors(s.trace, prev, prevFP) {
 		if issued >= s.opts.PrefetchFanout {
 			return
 		}
-		req := byFP[fp]
 		req.Priority = pool.Prefetch.String()
 		if _, coalesced, err := s.Submit(req); err == nil && !coalesced {
 			issued++

@@ -24,10 +24,11 @@
 // in-process.
 //
 // The daemon is also the unit of the sharded tier (internal/shard): sweeps
-// scatter into per-architecture jobs and gather byte-identically (sweep.go),
-// snapshots stream over HTTP so a joining shard seeds from a warm peer, and
-// the stats payload carries the queue occupancy gauges a routing front-end
-// reads as its per-shard load signal.
+// scatter into per-architecture jobs and gather byte-identically (sweep.go)
+// on the one sweep orchestrator both tiers run, Sweeps, with a per-tier
+// LegRunner (async.go); snapshots stream over HTTP so a joining shard seeds
+// from a warm peer, and the stats payload carries the queue occupancy gauges
+// a routing front-end reads as its per-shard load signal.
 package service
 
 import (
@@ -40,7 +41,6 @@ import (
 
 	"repro/internal/cliutil"
 	"repro/internal/core"
-	"repro/internal/jobs"
 	"repro/internal/model"
 	"repro/internal/predictor"
 	"repro/internal/prefetch"
@@ -138,9 +138,11 @@ func (r Request) Normalize() (Request, error) {
 	return r, nil
 }
 
-// deadline converts the relative wire budget into an absolute deadline at
-// admission time (zero when the request carries none).
-func (r Request) deadline(now time.Time) time.Time {
+// Deadline converts the relative wire budget into an absolute deadline at
+// admission time (zero when the request carries none). Each tier computes it
+// once where it takes ownership of the request and threads it from there:
+// recomputing it per retry would silently restart the budget.
+func (r Request) Deadline(now time.Time) time.Time {
 	if r.DeadlineMS <= 0 {
 		return time.Time{}
 	}
@@ -470,17 +472,16 @@ type Server struct {
 	pred   predictor.Predictor
 	queue  *pool.Queue
 	start  time.Time
-	sweeps *jobs.Store[SweepStatus]
+	sweeps *Sweeps
 	trace  *prefetch.Trace[TracePoint]
 
-	mu        sync.Mutex
-	jobs      map[string]*job
-	order     []string        // submission order, for listings
-	inflight  map[string]*job // fingerprint → queued/running job
-	seq       int
-	stats     Stats
-	draining  bool
-	sweepDone map[string]chan struct{} // closed when a sweep handle goes terminal
+	mu       sync.Mutex
+	jobs     map[string]*job
+	order    []string        // submission order, for listings
+	inflight map[string]*job // fingerprint → queued/running job
+	seq      int
+	stats    Stats
+	draining bool
 	// warmed tracks fingerprints executed to completion on this daemon and
 	// which lane warmed them — the warm-hit attribution table and the
 	// prefetcher's already-warm filter. Bounded FIFO (warmOrder).
@@ -541,24 +542,22 @@ func NewServer(opts Options, pred predictor.Predictor) *Server {
 		opts.PrefetchFanout = 3
 	}
 	s := &Server{
-		opts:  opts,
-		pred:  pred,
-		queue: pool.NewQueue(opts.JobWorkers, opts.Backlog),
-		start: time.Now(),
-		sweeps: jobs.NewStore[SweepStatus](jobs.Options{
-			Prefix:     "swp",
-			TTL:        opts.SweepTTL,
-			MaxEntries: opts.SweepHistory,
-		}, cloneSweepStatus),
-		trace:     prefetch.NewTrace[TracePoint](opts.TraceCapacity),
-		jobs:      make(map[string]*job),
-		inflight:  make(map[string]*job),
-		sweepDone: make(map[string]chan struct{}),
-		warmed:    make(map[string]*warmRecord),
+		opts:     opts,
+		pred:     pred,
+		queue:    pool.NewQueue(opts.JobWorkers, opts.Backlog),
+		start:    time.Now(),
+		trace:    prefetch.NewTrace[TracePoint](opts.TraceCapacity),
+		jobs:     make(map[string]*job),
+		inflight: make(map[string]*job),
+		warmed:   make(map[string]*warmRecord),
 	}
+	s.sweeps = NewSweeps(localLegs{s}, func() (time.Duration, int) { return opts.SweepTTL, opts.SweepHistory })
 	s.queue.SetClassBudgets(opts.ClassBudgets)
 	return s
 }
+
+// Sweeps returns the daemon's sweep orchestrator (POST /v1/sweeps).
+func (s *Server) Sweeps() *Sweeps { return s.sweeps }
 
 // Predictor returns the server's predictor — the cache-identity anchor a
 // snapshot is versioned by. A peer seeding from this server must hold an
@@ -576,7 +575,7 @@ func (s *Server) Submit(req Request) (Job, bool, error) {
 	fp := norm.Fingerprint()
 
 	now := time.Now()
-	deadline := norm.deadline(now)
+	deadline := norm.Deadline(now)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1014,18 +1013,8 @@ func (s *Server) Stats() Stats {
 	st.TraceLen = s.trace.Len()
 	st.EstWaitInteractiveMS = s.queue.EstimatedWait(pool.Interactive, 0).Milliseconds()
 	st.EstWaitBackgroundMS = s.queue.EstimatedWait(pool.Background, 0).Milliseconds()
-	s.sweeps.Each(func(_ string, sw SweepStatus) {
-		switch sw.State {
-		case StateDone:
-			st.SweepsDone++
-		case StateFailed, StateExpired:
-			st.SweepsFailed++
-		default:
-			st.SweepsRunning++
-		}
-	})
-	st.SweepsRetained = st.SweepsRunning + st.SweepsDone + st.SweepsFailed
-	st.SweepsEvicted = s.sweeps.Evicted()
+	st.SweepsRun = s.sweeps.Merged()
+	s.sweeps.AddGauges(&st)
 	st.Backlog = s.opts.Backlog
 	st.JobWorkers = s.opts.JobWorkers
 	st.EvalWorkers = s.opts.EvalWorkers

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/cliutil"
+	"repro/internal/search/pool"
 )
 
 // Sweep support: a Table II-style architecture sweep decomposes into one
@@ -62,6 +63,16 @@ type SweepResult struct {
 // single-architecture request per swept candidate, in sweep order. Every
 // part is already normalized (Normalize is idempotent and Config-pointwise),
 // so part fingerprints are valid routing keys.
+//
+// Each part also carries its leg scheduling, so no tier can dispatch a leg
+// without it: Criticality is the leg's LegCriticality, and Priority is the
+// sweep's demand class end to end — an interactive sweep's legs overtake
+// queued bulk work, a background sweep's yield to everything. An unlabelled
+// sweep's legs ride the bulk sweep-leg class (for legs, "no label" means
+// batch work, not the somebody-is-waiting default a single job gets), and so
+// does a prefetch-labelled sweep's: a speculative-class leg is refused by a
+// busy shard's idle gate and cancelled by demand arrival, which would break
+// the merge barrier.
 func ExpandSweep(req Request) (norm Request, parts []Request, err error) {
 	norm, err = req.Normalize()
 	if err != nil {
@@ -75,9 +86,26 @@ func ExpandSweep(req Request) (norm Request, parts []Request, err error) {
 	for i, cfg := range configs {
 		p := norm
 		p.Config = cfg
+		if p.Priority == "" || p.Priority == pool.Prefetch.String() {
+			p.Priority = pool.SweepLeg.String()
+		}
+		p.Criticality = LegCriticality(cfg)
 		parts[i] = p
 	}
 	return norm, parts, nil
+}
+
+// LegCriticality estimates how much downstream merge work a sweep leg
+// gates: the die count of its architecture bounds the (TP, PP) strategy
+// space the leg explores, so heavier-die legs run longest and the merge
+// barrier waits on them. Dispatching them first (LPT order) minimizes the
+// barrier's wait; unknown configs weigh zero and fill idle slots last.
+func LegCriticality(config string) int {
+	cands, err := cliutil.ArchCandidates(config)
+	if err != nil || len(cands) != 1 {
+		return 0
+	}
+	return cands[0].Dies()
 }
 
 // MergeSweep recombines per-architecture Results (in sweep order) into the
@@ -148,25 +176,4 @@ func MergeSweepDegraded(parts []*Result, configs, degradedErr []string) (*Result
 		out.Canonical += p.Canonical
 	}
 	return &out, nil
-}
-
-// Sweep scatters a sweep request into per-architecture jobs on this daemon
-// and gathers them into one merged record set. It is the synchronous facade
-// over the async handle machinery (StartSweep + WaitSweep) — one code path
-// produces both the 202-handle flow and this blocking flow, which is what
-// guarantees the merged Canonical stays byte-identical between them. Parts
-// submit through the normal job path at sweep-leg priority, so identical
-// in-flight architectures coalesce, every part lands in the shared caches,
-// and interactive jobs overtake the legs. A part that fails (or a backlog
-// rejection) fails the whole sweep.
-func (s *Server) Sweep(req Request) (SweepResult, error) {
-	st, err := s.StartSweep(req)
-	if err != nil {
-		return SweepResult{}, err
-	}
-	st, err = s.WaitSweep(st.ID)
-	if err != nil {
-		return SweepResult{}, err
-	}
-	return st.ToResult()
 }

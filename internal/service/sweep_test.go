@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"testing"
 )
 
@@ -31,6 +32,23 @@ func TestExpandSweep(t *testing.T) {
 	if _, _, err := ExpandSweep(Request{Config: "config9"}); err == nil {
 		t.Error("unknown config accepted by sweep expansion")
 	}
+	// Leg scheduling rides the parts: unlabelled and prefetch-labelled
+	// sweeps run their legs at sweep-leg, demand classes pass through, and
+	// every part carries its arch's criticality.
+	for class, want := range map[string]string{
+		"": "sweep-leg", "prefetch": "sweep-leg", "interactive": "interactive", "background": "background",
+	} {
+		_, parts, err := ExpandSweep(Request{Model: "Llama2-30B", Seq: 2048, Priority: class})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range parts {
+			if p.Priority != want || p.Criticality != LegCriticality(p.Config) || p.Criticality <= 0 {
+				t.Errorf("%q sweep part %s = priority %q criticality %d, want %q / %d",
+					class, p.Config, p.Priority, p.Criticality, want, LegCriticality(p.Config))
+			}
+		}
+	}
 }
 
 // TestSweepByteIdenticalToSingleJob is the scatter-gather acceptance check
@@ -41,7 +59,7 @@ func TestSweepByteIdenticalToSingleJob(t *testing.T) {
 	defer s.Close()
 	req := Request{Model: "Llama2-30B", Seq: 2048}
 
-	sw, err := s.Sweep(req)
+	sw, err := s.Sweeps().Run(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +110,7 @@ func TestSweepPartFailureFailsSweep(t *testing.T) {
 	defer s.Close()
 	// An ultra-large model cannot fit a single wafer: every part fails, and
 	// the sweep must surface the failure rather than merge nothing.
-	if _, err := s.Sweep(Request{Model: "Llama3-405B", Seq: 2048}); err == nil {
+	if _, err := s.Sweeps().Run(context.Background(), Request{Model: "Llama3-405B", Seq: 2048}); err == nil {
 		t.Error("sweep with infeasible parts reported success")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/jobs"
 	"repro/internal/search"
@@ -45,7 +46,7 @@ func TestRouterAsyncSweep(t *testing.T) {
 		}
 	}
 
-	single, err := f.shards[0].Sweep(service.Request{Model: "Llama2-30B", Seq: 2048})
+	single, err := f.shards[0].Sweeps().Run(context.Background(), service.Request{Model: "Llama2-30B", Seq: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestRouterSweepHandleGone(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := f.router.LookupSweep("swp-1"); !errors.Is(err, jobs.ErrGone) {
+	if _, err := f.router.Sweeps().Lookup("swp-1"); !errors.Is(err, jobs.ErrGone) {
 		t.Errorf("evicted handle: err = %v, want ErrGone", err)
 	}
 	var se *client.StatusError
@@ -231,5 +232,53 @@ func TestResultCacheInvalidation(t *testing.T) {
 	disabled.Put("fp", mk("fp", 1))
 	if _, ok := disabled.Get("fp"); ok {
 		t.Error("disabled cache served a hit")
+	}
+}
+
+// TestPrefetchSweepCrossTier pins that a "prefetch"-labelled Table II sweep
+// means the same on both tiers: its legs ride sweep-leg, so on a fleet the
+// default-priority sweep already warmed (the shards' idle gates refuse
+// speculation for warm fingerprints) and with a cold router result cache it
+// still merges byte-identically, degrades no leg, and indicts no shard.
+func TestPrefetchSweepCrossTier(t *testing.T) {
+	for _, tier := range []string{"daemon", "router"} {
+		t.Run(tier, func(t *testing.T) {
+			f := newFleet(t, 2)
+			ctx := context.Background()
+			c := f.client
+			if tier == "daemon" {
+				c = client.New(f.servers[0].URL)
+				c.PollInterval = 2 * time.Millisecond
+			}
+			req := service.Request{Model: "Llama2-30B", Seq: 2048}
+			base, err := c.Sweep(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Priority = "prefetch"
+			got, err := c.Sweep(ctx, req)
+			if err != nil {
+				t.Fatalf("prefetch-labelled sweep: %v", err)
+			}
+			for _, ref := range got.Jobs {
+				if ref.Degraded {
+					t.Errorf("leg %s degraded: %+v", ref.Config, ref)
+				}
+			}
+			if got.Result.Canonical != base.Result.Canonical {
+				t.Errorf("prefetch-labelled sweep differs from the default sweep (%d vs %d bytes)",
+					len(got.Result.Canonical), len(base.Result.Canonical))
+			}
+			st := f.router.Stats(ctx)
+			for _, sh := range st.Shards {
+				if sh.Breaker == nil || sh.Breaker.State != "closed" {
+					t.Errorf("shard %s breaker = %+v, want closed", sh.Name, sh.Breaker)
+				}
+			}
+			if st.Router.RouteErrors != 0 || st.Router.LegRetries != 0 {
+				t.Errorf("route_errors = %d, leg_retries = %d, want 0 / 0",
+					st.Router.RouteErrors, st.Router.LegRetries)
+			}
+		})
 	}
 }

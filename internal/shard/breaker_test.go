@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/service"
+	"repro/internal/service/client"
 )
 
 func breakerTestOpts() BreakerOptions {
@@ -298,42 +299,36 @@ func TestRouterDegradedLegServedFromCache(t *testing.T) {
 	}
 	f.servers[0].Close()
 
-	p0, err := warm.Normalize()
+	// The router's own runner minus its admit-time cache check: every leg
+	// reaches runLeg and exhausts the dead replica set, so the warm config3
+	// leg can only be served by the late fallback.
+	sw := service.NewSweeps(coldAdmit{routedLegs{f.router}}, func() (time.Duration, int) { return 0, 0 })
+	st, err := sw.Start(service.Request{Model: "Llama2-30B", Seq: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1 := p0
-	p1.Config = "config1"
-	r := f.router
-	r.ensureSweeps()
-	legs := []service.SweepLeg{
-		{Config: p0.Config, Fingerprint: p0.Fingerprint(), State: service.StateQueued},
-		{Config: p1.Config, Fingerprint: p1.Fingerprint(), State: service.StateQueued},
-	}
-	id, _ := r.sweeps.Create(func(id string) service.SweepStatus {
-		return service.SweepStatus{ID: id, State: service.StateRunning, Total: 2,
-			Legs: legs, SubmittedAt: time.Now()}
-	})
-	r.mu.Lock()
-	r.sweepDone[id] = make(chan struct{})
-	r.mu.Unlock()
-	r.runSweepLeg(id, 0, p0, time.Time{})
-	r.runSweepLeg(id, 1, p1, time.Time{})
-
-	st, err := r.WaitSweep(ctx, id)
+	st, err = sw.Wait(ctx, st.ID)
 	if err != nil || st.State != service.StateDone {
 		t.Fatalf("sweep = %s (%v), want done", st.State, err)
 	}
-	if l := st.Legs[0]; !l.Degraded || l.State != service.StateDone || l.Shard != "cache" || l.Result == nil {
-		t.Errorf("cache-fallback leg %+v, want degraded done from cache", l)
-	}
-	if l := st.Legs[1]; !l.Degraded || l.State != service.StateFailed || l.Result != nil {
-		t.Errorf("cold leg %+v, want degraded marker", l)
+	for _, l := range st.Legs {
+		if l.Config == "config3" {
+			if !l.Degraded || l.State != service.StateDone || l.Shard != "cache" || l.Result == nil {
+				t.Errorf("cache-fallback leg %+v, want degraded done from cache", l)
+			}
+		} else if !l.Degraded || l.State != service.StateFailed || l.Result != nil {
+			t.Errorf("cold leg %+v, want degraded marker", l)
+		}
 	}
 	if !strings.Contains(st.Result.Canonical, "arch=config1 err=degraded:") {
 		t.Errorf("merged record missing config1 marker row:\n%s", st.Result.Canonical)
 	}
 }
+
+// coldAdmit is the router's leg runner without the admit-time cache check.
+type coldAdmit struct{ routedLegs }
+
+func (coldAdmit) Admit(service.Request) (service.SweepLeg, error) { return service.SweepLeg{}, nil }
 
 // TestRouterRelaysRetryAfter: a shard's shed (429 + Retry-After) passes
 // through the router with the hint intact, and a deliberate 429 does NOT
@@ -403,5 +398,36 @@ func TestRouterForwardsRemainingDeadline(t *testing.T) {
 	}
 	if gotDeadline <= 0 || gotDeadline > 9400 {
 		t.Errorf("forwarded deadline_ms = %d, want in (0, 9400]", gotDeadline)
+	}
+}
+
+// TestRoutedPrefetchJobIndictsNoShard: a client's prefetch-class job that
+// the owning shard's idle gate refuses (503: the fingerprint is already
+// warm) is the speculative lane's admission rule, not a fault — it must not
+// feed the owner's breaker, count a route error or exclude the shard,
+// exactly as for the router's own speculation.
+func TestRoutedPrefetchJobIndictsNoShard(t *testing.T) {
+	f := newFleet(t, 2)
+	ctx := context.Background()
+	req := testReq(7)
+	if j, err := f.client.Run(ctx, req); err != nil || j.State != service.StateDone {
+		t.Fatalf("warm job: %v", err)
+	}
+	req.Priority = "prefetch"
+	var se *client.StatusError
+	for i := 0; i < 10; i++ {
+		if _, err := f.client.Submit(ctx, req); !errors.As(err, &se) || se.Code != http.StatusServiceUnavailable {
+			t.Fatalf("prefetch job %d on a warm owner: %v, want the idle gate's 503", i, err)
+		}
+	}
+	owner, _ := f.m.BackendByAddr(f.ownerAddr(t, req))
+	if bs := owner.Breaker().Snapshot(); bs.State != "closed" || bs.WindowFailures != 0 {
+		t.Errorf("owner breaker = %+v, want closed with no failures", bs)
+	}
+	if !owner.Healthy() {
+		t.Error("refused speculation marked the owner failed")
+	}
+	if n := f.router.Stats(ctx).Router.RouteErrors; n != 0 {
+		t.Errorf("route_errors = %d, want 0", n)
 	}
 }

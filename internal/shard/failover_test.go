@@ -88,7 +88,7 @@ func TestRouterSweepFailoverMidSweep(t *testing.T) {
 	}
 	gate.victim.Store(int32(victim))
 
-	sw, err := router.Sweep(context.Background(), req)
+	sw, err := router.Sweeps().Run(context.Background(), req)
 	if err != nil {
 		t.Fatalf("sweep through a mid-sweep crash: %v", err)
 	}
@@ -102,7 +102,7 @@ func TestRouterSweepFailoverMidSweep(t *testing.T) {
 	}
 
 	// Byte-identity through the crash: same record set as one daemon.
-	single, err := shards[(victim+1)%3].Sweep(req)
+	single, err := shards[(victim+1)%3].Sweeps().Run(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}

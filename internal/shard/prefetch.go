@@ -70,38 +70,26 @@ func (r *Router) releasePrefetch(fp string) {
 	r.mu.Unlock()
 }
 
-// predictAndPrefetch enumerates the completed request's sweep neighbors,
-// ranks them by the router's learned locality, and warms the top
-// PrefetchFanout through the fleet. Every failure path is silent — a
-// speculation that cannot run for free simply doesn't run.
+// predictAndPrefetch warms the completed request's top PrefetchFanout
+// ranked sweep neighbors (service.RankNeighbors over the router's trace)
+// through the fleet, skipping those already answerable at this tier. Every
+// failure path is silent — a speculation that cannot run for free simply
+// doesn't run.
 func (r *Router) predictAndPrefetch(prev service.Request, prevFP string) {
-	neighbors := prev.SweepNeighbors()
-	if len(neighbors) == 0 {
-		return
-	}
-	byFP := make(map[string]service.Request, len(neighbors))
-	fps := make([]string, len(neighbors))
-	for i, n := range neighbors {
-		nfp := n.Fingerprint()
-		fps[i] = nfp
-		byFP[nfp] = n
-	}
 	fanout := r.PrefetchFanout
 	if fanout <= 0 {
 		fanout = 3
 	}
 	issued := 0
-	for _, fp := range r.trace.Rank(prevFP, fps) {
+	for _, req := range service.RankNeighbors(r.trace, prev, prevFP) {
 		if issued >= fanout {
 			return
 		}
-		if r.Cache.Contains(fp) {
-			continue // already answerable at this tier
-		}
-		if !r.claimPrefetch(fp) {
+		fp := req.Fingerprint()
+		if r.Cache.Contains(fp) || !r.claimPrefetch(fp) {
 			continue
 		}
-		ok := r.prefetchOne(byFP[fp], fp)
+		ok := r.prefetchOne(req)
 		r.releasePrefetch(fp)
 		if ok {
 			issued++
@@ -109,30 +97,38 @@ func (r *Router) predictAndPrefetch(prev service.Request, prevFP string) {
 	}
 }
 
-// prefetchOne routes one speculative evaluation to the fingerprint's primary
-// shard and, if the shard's idle gate admits it, waits for the result and
-// stores it in the ResultCache tagged as prefetched. Reports whether the
-// speculation was admitted (counted against the fanout); a refusal — busy
-// shard, open breaker, no shards — is not.
-func (r *Router) prefetchOne(req service.Request, fp string) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), prefetchWaitTimeout)
-	defer cancel()
-	replicas, err := r.Map.PickReplicas(fp)
-	if err != nil || len(replicas) == 0 {
-		return false
+// submitSpeculative sends a prefetch-class request to its primary shard
+// only, and only when that shard's breaker is fully closed: a recovering
+// shard's half-open trial slot belongs to demand. The owner's idle gate
+// refuses speculation (503) whenever it is busy or already warm — the lane's
+// admission rule, not a fault — so nothing here feeds a breaker, marks a
+// shard failed or counts a route error, whoever asked: a client's
+// prefetch-class job or the router's own prediction.
+func (r *Router) submitSpeculative(ctx context.Context, req service.Request) (service.Job, *Backend, bool, error) {
+	replicas, err := r.Map.PickReplicas(req.Fingerprint())
+	if err != nil {
+		return service.Job{}, nil, false, err
 	}
 	b := replicas[0]
 	if bs := b.Breaker(); bs != nil && bs.Snapshot().State != "closed" {
-		// A recovering shard's half-open trial slot belongs to demand.
-		return false
+		return service.Job{}, b, false, ErrNoShards
 	}
+	j, coalesced, err := b.Client.SubmitJob(ctx, req)
+	return j, b, coalesced, err
+}
+
+// prefetchOne routes one speculative evaluation through submitSpeculative
+// and, if the shard's idle gate admits it, waits for the result and stores
+// it in the ResultCache tagged as prefetched. Reports whether the
+// speculation was admitted (counted against the fanout); a refusal — busy
+// shard, open breaker, no shards — is not.
+func (r *Router) prefetchOne(req service.Request) bool {
+	ctx, cancel := context.WithTimeout(context.Background(), prefetchWaitTimeout)
+	defer cancel()
 	req.Priority = "prefetch"
 	req.Criticality, req.DeadlineMS = 0, 0
-	j, coalesced, err := b.Client.SubmitJob(ctx, req)
+	j, b, coalesced, err := r.submitSpeculative(ctx, req)
 	if err != nil {
-		// The shard's idle gate refused (503), or the shard is gone. Either
-		// way the speculation evaporates without breaker or failover
-		// side effects — this path must never indict a shard.
 		return false
 	}
 	if !coalesced {

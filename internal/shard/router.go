@@ -12,9 +12,9 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/jobs"
 	"repro/internal/prefetch"
 	"repro/internal/search"
+	"repro/internal/search/pool"
 	"repro/internal/service"
 	"repro/internal/service/client"
 )
@@ -31,8 +31,8 @@ import (
 //   - POST /v1/sweeps scatters per-architecture parts across shards by each
 //     part's own fingerprint — async by default (202 + SweepStatus handle,
 //     poll GET /v1/sweeps/{id}; ?wait=1 blocks for the pre-async 200 +
-//     SweepResult) — and merges the gathered record set
-//     (service.MergeSweep), byte-identical to a single-node sweep;
+//     SweepResult) — and merges the gathered record set on the shared
+//     service.Sweeps orchestrator, byte-identical to a single-node sweep;
 //   - GET /v1/stats aggregates the fleet (the flattened service.Stats sums,
 //     decodable by the unmodified client) plus router counters, per-shard
 //     statuses with queue occupancy gauges, and the audited replica
@@ -77,9 +77,7 @@ type Router struct {
 	trace        *prefetch.Trace[service.TracePoint]
 	prefetchBusy map[string]bool // fingerprints with an in-flight speculation; guarded by mu
 
-	sweepsOnce sync.Once
-	sweeps     *jobs.Store[service.SweepStatus]
-	sweepDone  map[string]chan struct{} // guarded by mu
+	sweeps *service.Sweeps
 }
 
 // RouterCounters are the router's own counters (shard-side counters live in
@@ -138,8 +136,13 @@ type RouterStats struct {
 // NewRouter returns a router over the shard map (sweep legs re-dispatch up
 // to twice by default; set SweepRetries/LegTimeout before serving to tune).
 func NewRouter(m *Map) *Router {
-	return &Router{Map: m, SweepRetries: 2, PrefetchFanout: 3, start: time.Now(), trace: newRouterTrace()}
+	r := &Router{Map: m, SweepRetries: 2, PrefetchFanout: 3, start: time.Now(), trace: newRouterTrace()}
+	r.sweeps = service.NewSweeps(routedLegs{r}, func() (time.Duration, int) { return r.SweepTTL, r.SweepHistory })
+	return r
 }
+
+// Sweeps returns the router's sweep orchestrator (POST /v1/sweeps).
+func (r *Router) Sweeps() *service.Sweeps { return r.sweeps }
 
 func (r *Router) count(fn func(*RouterCounters)) {
 	r.mu.Lock()
@@ -184,17 +187,6 @@ func drainingAnswer(err error) bool {
 		strings.Contains(se.Message, "draining")
 }
 
-// requestDeadline converts a request's relative deadline budget to the
-// absolute admission deadline (zero when the request carries none). Computed
-// once where the router takes ownership of the request, then threaded —
-// recomputing it per retry would silently restart the budget.
-func requestDeadline(req service.Request, now time.Time) time.Time {
-	if req.DeadlineMS <= 0 {
-		return time.Time{}
-	}
-	return now.Add(time.Duration(req.DeadlineMS) * time.Millisecond)
-}
-
 type errorBody struct {
 	Error string `json:"error"`
 }
@@ -213,9 +205,7 @@ func (r *Router) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/jobs", r.handleSubmit)
 	mux.HandleFunc("GET /v1/jobs", r.handleList)
 	mux.HandleFunc("GET /v1/jobs/{id...}", r.handleJob)
-	mux.HandleFunc("POST /v1/sweeps", r.handleSweep)
-	mux.HandleFunc("GET /v1/sweeps", r.handleSweepList)
-	mux.HandleFunc("GET /v1/sweeps/{id}", r.handleSweepStatus)
+	r.sweeps.Register(mux, writeSweepAdmitError)
 	mux.HandleFunc("GET /v1/stats", r.handleStats)
 	mux.HandleFunc("GET /v1/trace", r.handleTrace)
 	mux.HandleFunc("GET /v1/shards", r.handleShards)
@@ -238,11 +228,22 @@ func (r *Router) Handler() http.Handler {
 // own queue-wait admission check must see the time failover hops already
 // spent — and an exhausted budget is refused here (a shed, 429) instead of
 // burning a shard round-trip on work the caller has already abandoned. Every
-// submit round-trip also feeds the target's circuit breaker.
+// submit round-trip also feeds the target's circuit breaker. A prefetch-class
+// request is the exception: it goes through submitSpeculative, whose refusals
+// indict no shard.
 func (r *Router) submitRouted(ctx context.Context, req service.Request, deadline time.Time) (service.Job, *Backend, bool, error) {
 	norm, err := req.Normalize()
 	if err != nil {
 		return service.Job{}, nil, false, err
+	}
+	if norm.Priority == pool.Prefetch.String() {
+		j, b, coalesced, err := r.submitSpeculative(ctx, norm)
+		if err != nil {
+			return service.Job{}, b, false, err
+		}
+		j.ID = b.Addr + "/" + j.ID
+		r.count(func(c *RouterCounters) { c.JobsRouted++ })
+		return j, b, coalesced, nil
 	}
 	fp := norm.Fingerprint()
 	var lastErr error
@@ -313,11 +314,8 @@ func (r *Router) submitRouted(ctx context.Context, req service.Request, deadline
 }
 
 func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
-	var jr service.Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, service.MaxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&jr); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
+	jr, ok := service.DecodeRequest(w, req)
+	if !ok {
 		return
 	}
 	norm, err := jr.Normalize()
@@ -338,7 +336,7 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		writeJSON(w, http.StatusOK, j)
 		return
 	}
-	j, _, coalesced, err := r.submitRouted(req.Context(), jr, requestDeadline(norm, time.Now()))
+	j, _, coalesced, err := r.submitRouted(req.Context(), jr, norm.Deadline(time.Now()))
 	if err == nil {
 		r.maybePrefetch(norm, fp)
 	}
@@ -569,62 +567,6 @@ func (r *Router) runLeg(ctx context.Context, part service.Request, deadline time
 	return nil, lastRef, lastErr
 }
 
-func (r *Router) handleSweep(w http.ResponseWriter, req *http.Request) {
-	var jr service.Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, service.MaxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&jr); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
-		return
-	}
-	// Pre-validate so bad requests stay 400 on both the async and the
-	// blocking flow; later failures are execution-side.
-	if _, _, err := service.ExpandSweep(jr); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-		return
-	}
-	if req.URL.Query().Get("wait") != "" {
-		// Synchronous compatibility flow: block until the merge.
-		res, err := r.Sweep(req.Context(), jr)
-		switch {
-		case errors.Is(err, ErrNoShards):
-			writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
-		case err != nil:
-			writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
-		default:
-			writeJSON(w, http.StatusOK, res)
-		}
-		return
-	}
-	st, err := r.StartSweep(jr)
-	switch {
-	case errors.Is(err, ErrNoShards):
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
-	case err != nil:
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-	default:
-		writeJSON(w, http.StatusAccepted, st)
-	}
-}
-
-func (r *Router) handleSweepList(w http.ResponseWriter, req *http.Request) {
-	out := r.Sweeps()
-	if out == nil {
-		out = []service.SweepSummary{}
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (r *Router) handleSweepStatus(w http.ResponseWriter, req *http.Request) {
-	id := req.PathValue("id")
-	st, err := r.LookupSweep(id)
-	if err != nil {
-		writeJSON(w, service.SweepLookupStatus(err), errorBody{Error: "sweep " + id + ": " + err.Error()})
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
-}
-
 // Stats aggregates the fleet view: per-shard stats (with queue occupancy
 // gauges) under the router's counters, plus the flattened fleet sums.
 func (r *Router) Stats(ctx context.Context) RouterStats {
@@ -633,6 +575,7 @@ func (r *Router) Stats(ctx context.Context) RouterStats {
 	r.mu.Lock()
 	out.Router = r.stats
 	r.mu.Unlock()
+	out.Router.SweepsRouted = r.sweeps.Merged()
 	agg := &out.Stats
 	agg.SchemeVersion = search.FingerprintSchemeVersion
 	agg.UptimeSeconds = time.Since(r.start).Seconds()
@@ -701,22 +644,7 @@ func (r *Router) Stats(ctx context.Context) RouterStats {
 	}
 	// Sweep-handle gauges: the router's own async handles (scattered sweeps
 	// live at this tier) on top of any direct-to-shard handles.
-	if r.sweeps != nil {
-		r.sweeps.Each(func(id string, st service.SweepStatus) {
-			switch st.State {
-			case service.StateRunning:
-				agg.SweepsRunning++
-			case service.StateDone:
-				agg.SweepsDone++
-			case service.StateFailed, service.StateExpired:
-				agg.SweepsFailed++
-			}
-			if st.State.Terminal() {
-				agg.SweepsRetained++
-			}
-		})
-		agg.SweepsEvicted += r.sweeps.Evicted()
-	}
+	r.sweeps.AddGauges(agg)
 	out.ResultCache = r.Cache.Stats()
 	for _, st := range statuses {
 		if st.Healthy {

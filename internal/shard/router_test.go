@@ -192,7 +192,7 @@ func TestRouterSweepByteIdenticalToSingleNode(t *testing.T) {
 	}
 
 	// The same sweep as one unscattered job on shard 0.
-	single, err := f.shards[0].Sweep(req)
+	single, err := f.shards[0].Sweeps().Run(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,9 @@
 // Package shard is the sharded evaluation tier in front of a fleet of
 // watosd daemons: a live shard map with health-checked membership, stable
 // fingerprint routing, and the scatter-gather router (see router.go) that
-// cmd/watos-router serves.
+// cmd/watos-router serves. Routed sweeps run on the daemon's own orchestrator
+// (service.Sweeps); this package supplies only the router's leg runner
+// (asyncsweep.go).
 //
 // Routing is rendezvous hashing over the canonical request fingerprint
 // (search.ShardOwner): identical jobs always land on the same shard, so the

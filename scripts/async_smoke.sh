@@ -8,7 +8,9 @@
 #   3. a sweep handle's final merged record diffs clean against the
 #      in-process sweep (`watos -canon`),
 #   4. a repeat of the finished interactive job is served from the router's
-#      completed-result cache without crossing the fleet.
+#      completed-result cache without crossing the fleet,
+#   5. a "prefetch"-labelled sweep finishes done with no degraded leg, the
+#      shard's breaker stays closed and router.route_errors does not grow.
 set -euo pipefail
 
 BIN=$(mktemp -d)
@@ -124,6 +126,46 @@ assert rc['hits'] >= 1, f'no result-cache hit recorded: {rc}'
 assert s['router']['jobs_routed'] == before, \
     f'repeat crossed the fleet: jobs_routed {before} -> {s[\"router\"][\"jobs_routed\"]}'
 print('result cache:', rc)
+"
+
+echo "== prefetch-labelled sweep rides sweep-leg and indicts no shard =="
+# A "prefetch" label on a sweep must not put its legs in the speculative
+# class, where the shard's idle gate refuses them (503) and the router would
+# count each refusal as a shard fault. A seed no earlier step ran keeps the
+# router's result cache cold for every leg; running its default-priority
+# sweep on the shard directly first makes every leg's fingerprint warm
+# there, so the idle gate would refuse each speculative leg.
+curl -sf -X POST "http://127.0.0.1:$PORT_A/v1/sweeps?wait=1" \
+  -d '{"model":"Llama2-30B","seq":2048,"seed":77}' >/dev/null
+ROUTE_ERRORS_BEFORE=$(curl -s "http://127.0.0.1:$PORT_R/v1/stats" \
+  | python3 -c "import json,sys; print(json.load(sys.stdin)['router']['route_errors'])")
+PREFETCH_ID=$(curl -s -X POST "http://127.0.0.1:$PORT_R/v1/sweeps" \
+  -d '{"model":"Llama2-30B","seq":2048,"seed":77,"priority":"prefetch"}' \
+  | python3 -c "import json,sys; print(json.load(sys.stdin)['id'])")
+for _ in $(seq 1 600); do
+  STATE=$(curl -s "http://127.0.0.1:$PORT_R/v1/sweeps/$PREFETCH_ID" \
+    | python3 -c "import json,sys; print(json.load(sys.stdin)['state'])")
+  [ "$STATE" != running ] && break
+  sleep 0.1
+done
+curl -s "http://127.0.0.1:$PORT_R/v1/sweeps/$PREFETCH_ID" | python3 -c "
+import json, sys
+st = json.load(sys.stdin)
+assert st['state'] == 'done', f'prefetch-labelled sweep ended {st[\"state\"]}: {st.get(\"error\")}'
+bad = [leg['config'] for leg in st['legs'] if leg.get('degraded')]
+assert not bad, f'prefetch-labelled sweep degraded legs {bad}'
+print(f'prefetch-labelled sweep done, {st[\"completed_legs\"]}/{st[\"total_legs\"]} legs, none degraded')
+"
+curl -s "http://127.0.0.1:$PORT_R/v1/stats" | python3 -c "
+import json, sys
+before = int('$ROUTE_ERRORS_BEFORE')
+s = json.load(sys.stdin)
+for sh in s['shards']:
+    state = (sh.get('breaker') or {}).get('state')
+    assert state == 'closed', f'shard {sh[\"name\"]} breaker {state} after a prefetch-labelled sweep'
+assert s['router']['route_errors'] == before, \
+    f'route_errors grew {before} -> {s[\"router\"][\"route_errors\"]}'
+print('breakers closed; route_errors unchanged at', before)
 "
 
 echo "async-smoke: all assertions passed"
