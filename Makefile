@@ -27,13 +27,16 @@ bench:
 
 # Fast regression gate for the search inner loops: the zero-alloc
 # assertions of the scalar annealer swap path and the batched ScorerBatch
-# pass (the benchmarks only report allocs, they don't fail on them) plus
-# one iteration of each annealer/batch/placement/GA benchmark, so a broken
-# or allocating hot path fails in seconds without waiting for the full
-# bench run.
+# pass and the GCMR allocation bound (the benchmarks only report allocs,
+# they don't fail on them) plus one iteration of each annealer/batch/
+# placement/GA and GCMR/BuildOptions benchmark, and 10 s of fuzzing GCMR
+# against its unpruned reference, so a broken or allocating hot path fails
+# in seconds without waiting for the full bench run.
 bench-smoke:
 	go test -run 'TestScorerSwapZeroAlloc|TestScorerBatchZeroAlloc' -count=1 ./internal/placement
 	go test -run '^$$' -bench 'BenchmarkAnnealSwap$$|BenchmarkAnnealSwapBatch|BenchmarkOptimizePlacement|BenchmarkGAGeneration' -benchtime=1x -benchmem .
+	go test -run 'TestGCMRAllocs' -bench 'BenchmarkGCMR|BenchmarkBuildOptions' -benchtime=1x -benchmem -count=1 ./internal/recompute
+	go test -run '^$$' -fuzz FuzzGCMR -fuzztime 10s ./internal/recompute
 
 # Compare two recorded perf trajectories (ns/op + allocs/op ratios, with a
 # regression threshold). Usage:

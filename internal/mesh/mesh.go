@@ -201,15 +201,33 @@ func (m *Mesh) internPaths() {
 	m.xyHops = make([]int16, m.nDies*m.nDies)
 	maskArena := make([]uint64, m.nDies*m.nDies*2*m.maskWords)
 	m.maskArena = maskArena
+	// The XY and YX routes of a pair both take Hops links; all of them,
+	// and their link-ID views, are carved from two arenas.
+	total := 0
+	for ai := 0; ai < m.nDies; ai++ {
+		for bi := 0; bi < m.nDies; bi++ {
+			total += 2 * m.Hops(m.DieAt(ai), m.DieAt(bi))
+		}
+	}
+	linkArena := make([]Link, 0, total)
+	idArena := make([]int32, 0, total)
 	for ai := 0; ai < m.nDies; ai++ {
 		a := m.DieAt(ai)
 		for bi := 0; bi < m.nDies; bi++ {
 			b := m.DieAt(bi)
 			e := &m.paths[ai*m.nDies+bi]
-			e.xy = m.buildXYPath(a, b)
-			e.yx = m.buildYXPath(a, b)
-			e.xyID = m.buildPathIDs(e.xy)
-			e.yxID = m.buildPathIDs(e.yx)
+			n := len(linkArena)
+			linkArena = m.appendXYPath(linkArena, a, b)
+			e.xy = tail(linkArena, n)
+			n = len(linkArena)
+			linkArena = m.appendYXPath(linkArena, a, b)
+			e.yx = tail(linkArena, n)
+			n = len(idArena)
+			idArena = m.appendPathIDs(idArena, e.xy)
+			e.xyID = tail(idArena, n)
+			n = len(idArena)
+			idArena = m.appendPathIDs(idArena, e.yx)
+			e.yxID = tail(idArena, n)
 			e.sp[0] = e.xy
 			e.spID[0] = e.xyID
 			e.spLen = 1
@@ -244,11 +262,24 @@ func (m *Mesh) buildPathIDs(path []Link) []int32 {
 	if len(path) == 0 {
 		return nil
 	}
-	ids := make([]int32, len(path))
-	for i, l := range path {
-		ids[i] = int32(m.LinkIndex(l))
+	return m.appendPathIDs(make([]int32, 0, len(path)), path)
+}
+
+// appendPathIDs appends the dense link IDs of a route to dst.
+func (m *Mesh) appendPathIDs(dst []int32, path []Link) []int32 {
+	for _, l := range path {
+		dst = append(dst, int32(m.LinkIndex(l)))
 	}
-	return ids
+	return dst
+}
+
+// tail returns s[from:] capped at its length, so that appending to it
+// cannot overwrite the arena after it, or nil when it is empty.
+func tail[E any](s []E, from int) []E {
+	if len(s) == from {
+		return nil
+	}
+	return s[from:len(s):len(s)]
 }
 
 // refreshFaultState rebuilds the dense fault-derived tables and the mesh
@@ -349,7 +380,20 @@ func (m *Mesh) buildXYPath(a, b DieID) []Link {
 	if hops == 0 {
 		return nil
 	}
-	path := make([]Link, 0, hops)
+	return m.appendXYPath(make([]Link, 0, hops), a, b)
+}
+
+// buildYXPath allocates the Y-then-X route.
+func (m *Mesh) buildYXPath(a, b DieID) []Link {
+	hops := m.Hops(a, b)
+	if hops == 0 {
+		return nil
+	}
+	return m.appendYXPath(make([]Link, 0, hops), a, b)
+}
+
+// appendXYPath appends the X-then-Y route from a to b to dst.
+func (m *Mesh) appendXYPath(dst []Link, a, b DieID) []Link {
 	cur := a
 	for cur.X != b.X {
 		next := cur
@@ -358,7 +402,7 @@ func (m *Mesh) buildXYPath(a, b DieID) []Link {
 		} else {
 			next.X--
 		}
-		path = append(path, Link{From: cur, To: next})
+		dst = append(dst, Link{From: cur, To: next})
 		cur = next
 	}
 	for cur.Y != b.Y {
@@ -368,17 +412,16 @@ func (m *Mesh) buildXYPath(a, b DieID) []Link {
 		} else {
 			next.Y--
 		}
-		path = append(path, Link{From: cur, To: next})
+		dst = append(dst, Link{From: cur, To: next})
 		cur = next
 	}
-	return path
+	return dst
 }
 
-// buildYXPath allocates the Y-then-X route.
-func (m *Mesh) buildYXPath(a, b DieID) []Link {
+// appendYXPath appends the Y-then-X route from a to b to dst.
+func (m *Mesh) appendYXPath(dst []Link, a, b DieID) []Link {
 	mid := DieID{X: a.X, Y: b.Y}
-	p := m.buildXYPath(a, mid)
-	return append(p, m.buildXYPath(mid, b)...)
+	return m.appendXYPath(m.appendXYPath(dst, a, mid), mid, b)
 }
 
 // pathAt returns the interned routes of an ordered pair, or nil when the

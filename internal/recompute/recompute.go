@@ -34,7 +34,8 @@ type Option struct {
 // the output of "RecompProfiling" in Alg 2 line 1.
 type StageProfile struct {
 	// Options is the pareto frontier sorted by descending CkptBytesPerMB
-	// (options[0] = no recomputation).
+	// and ascending ExtraBwdTime (options[0] = no recomputation). GCMR
+	// rejects a stage whose options break this order.
 	Options []Option
 	// Retained is the 1F1B activation-retention count of the stage.
 	Retained int
@@ -49,7 +50,7 @@ type StageProfile struct {
 }
 
 // localCheckpointCapacity returns the stage's DRAM left for checkpoints.
-func (p StageProfile) localCheckpointCapacity() float64 {
+func (p *StageProfile) localCheckpointCapacity() float64 {
 	c := p.LocalBytes - p.ModelPBytes
 	if c < 0 {
 		return 0
@@ -57,32 +58,80 @@ func (p StageProfile) localCheckpointCapacity() float64 {
 	return c
 }
 
+// checkFront reports an error naming stage s when the profile breaks the
+// input contract GCMR's pruned DP relies on: at least one option, options
+// non-increasing in CkptBytesPerMB and non-decreasing in ExtraBwdTime, and
+// no negative footprint or retention count.
+func (p *StageProfile) checkFront(s int) error {
+	opts := p.Options
+	if len(opts) == 0 {
+		return fmt.Errorf("recompute: stage %d has no options", s)
+	}
+	if p.Retained < 0 {
+		return fmt.Errorf("recompute: stage %d retains %d micro-batches", s, p.Retained)
+	}
+	for i := 1; i < len(opts); i++ {
+		prev, o := &opts[i-1], &opts[i]
+		// Negated comparisons, so that a NaN fails too.
+		if !(o.CkptBytesPerMB <= prev.CkptBytesPerMB) || !(o.ExtraBwdTime >= prev.ExtraBwdTime) {
+			return fmt.Errorf("recompute: stage %d options are not a pareto front in order: option %d (%g B, +%g s) follows option %d (%g B, +%g s)",
+				s, i, o.CkptBytesPerMB, o.ExtraBwdTime, i-1, prev.CkptBytesPerMB, prev.ExtraBwdTime)
+		}
+	}
+	if last := opts[len(opts)-1].CkptBytesPerMB; !(last >= 0) {
+		return fmt.Errorf("recompute: stage %d has a checkpoint footprint of %g bytes", s, last)
+	}
+	return nil
+}
+
 // ParetoFront filters and sorts options: dominated options (more memory and
 // more time) are dropped; the result is sorted by descending memory.
 func ParetoFront(opts []Option) []Option {
-	sorted := append([]Option(nil), opts...)
-	// Skyline scan: ascending memory; an option survives only if its time
-	// beats every option that already uses less memory.
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].CkptBytesPerMB != sorted[j].CkptBytesPerMB {
-			return sorted[i].CkptBytesPerMB < sorted[j].CkptBytesPerMB
-		}
-		return sorted[i].ExtraBwdTime < sorted[j].ExtraBwdTime
-	})
-	var asc []Option
-	bestTime := math.Inf(1)
-	for _, o := range sorted {
-		if o.ExtraBwdTime < bestTime {
-			asc = append(asc, o)
-			bestTime = o.ExtraBwdTime
-		}
+	cands := make([]candidate, len(opts))
+	for i := range opts {
+		cands[i] = candidate{key: i, ckpt: opts[i].CkptBytesPerMB, extra: opts[i].ExtraBwdTime}
 	}
-	// Return in descending-memory order (options[0] = no recomputation).
-	out := make([]Option, len(asc))
-	for i, o := range asc {
-		out[len(asc)-1-i] = o
+	front := paretoScan(cands)
+	out := make([]Option, len(front))
+	for i, c := range front {
+		out[i] = opts[c.key]
 	}
 	return out
+}
+
+// candidate is one option reduced to what the pareto scan compares; key
+// identifies it to the caller.
+type candidate struct {
+	key         int
+	ckpt, extra float64
+}
+
+// paretoScan returns the non-dominated candidates in descending-memory
+// order, reusing cands' storage.
+func paretoScan(cands []candidate) []candidate {
+	// Skyline scan: ascending memory; a candidate survives only if its
+	// time beats every candidate that already uses less memory.
+	sort.Slice(cands, func(i, j int) bool {
+		if cands[i].ckpt != cands[j].ckpt {
+			return cands[i].ckpt < cands[j].ckpt
+		}
+		return cands[i].extra < cands[j].extra
+	})
+	n := 0
+	bestTime := math.Inf(1)
+	for _, c := range cands {
+		if c.extra < bestTime {
+			cands[n] = c
+			n++
+			bestTime = c.extra
+		}
+	}
+	front := cands[:n]
+	// Descending-memory order (front[0] = no recomputation).
+	for i, j := 0, n-1; i < j; i, j = i+1, j-1 {
+		front[i], front[j] = front[j], front[i]
+	}
+	return front
 }
 
 // MemPair records an activation-balancing assignment: the Sender stage
@@ -117,25 +166,58 @@ type Plan struct {
 // budgetQuanta controls the DP memory discretisation.
 const budgetQuanta = 256
 
+// optionCost is one option's DP inputs: its checkpoint footprint in budget
+// quanta and the stage time it yields.
+type optionCost struct {
+	quanta    int
+	stageTime float64
+}
+
 // GCMR runs Alg 2: distribute the global checkpoint budget across stages to
 // minimise the bottleneck stage time, then pair overflowing Senders with
 // spare-capacity Helpers.
+//
+// Each stage's Options must be a pareto front in the order ParetoFront and
+// BuildOptions return it: CkptBytesPerMB non-increasing (and non-negative)
+// and ExtraBwdTime non-decreasing. GCMR returns an error naming the first
+// stage that breaks the order rather than planning on it.
+//
+// The DP fills T[t][m], the least bottleneck time of stages t..p−1 given m
+// of the budgetQuanta budget quanta, from the last stage backwards. It keeps
+// two rolling rows of T and one p×(budgetQuanta+1) choice table, and each
+// option's quanta and stage time are computed once. The option scan is
+// pruned exactly, so the plan is the one a full scan finds:
+//   - Quanta are non-increasing in the option index, so the options that
+//     fit m form a suffix; the scan starts at its first option.
+//   - Stage times are non-decreasing, so once an option's stage time
+//     reaches the best bottleneck found for m, no later option can beat it
+//     strictly; the scan stops.
+//
+// Ties keep the first strict minimum, i.e. the least recomputation. The DP
+// costs O(budgetQuanta·Σk) time for k options per stage in the worst case.
+// In practice the scan is short: T[t+1] is non-increasing in m, so along
+// the scan the tail term falls while the stage time rises, and the scan
+// stops just past the option where the two cross.
 func GCMR(profiles []StageProfile) (*Plan, error) {
 	p := len(profiles)
 	if p == 0 {
 		return nil, fmt.Errorf("recompute: no stages")
 	}
 	var totalBudget float64
-	for s, prof := range profiles {
-		if len(prof.Options) == 0 {
-			return nil, fmt.Errorf("recompute: stage %d has no options", s)
+	nopts := 0
+	for s := range profiles {
+		prof := &profiles[s]
+		if err := prof.checkFront(s); err != nil {
+			return nil, err
 		}
 		totalBudget += prof.localCheckpointCapacity()
+		nopts += len(prof.Options)
 	}
 	// Feasibility: even maximal recomputation must fit the global budget.
 	var minNeed float64
-	for _, prof := range profiles {
-		minOpt := prof.Options[len(prof.Options)-1]
+	for s := range profiles {
+		prof := &profiles[s]
+		minOpt := &prof.Options[len(prof.Options)-1]
 		minNeed += minOpt.CkptBytesPerMB * float64(prof.Retained)
 	}
 	if minNeed > totalBudget {
@@ -147,52 +229,68 @@ func GCMR(profiles []StageProfile) (*Plan, error) {
 	if quantum <= 0 {
 		return nil, fmt.Errorf("recompute: no checkpoint budget")
 	}
-	need := func(o Option, prof StageProfile) int {
-		return int(math.Ceil(o.CkptBytesPerMB * float64(prof.Retained) / quantum))
-	}
-	stageTime := func(prof StageProfile, o Option) float64 {
-		return prof.FwdTime + prof.BwdTime + o.ExtraBwdTime
+	// Per-option quanta and stage time, all stages back to back.
+	costs := make([]optionCost, 0, nopts)
+	for s := range profiles {
+		prof := &profiles[s]
+		retained := float64(prof.Retained)
+		for i := range prof.Options {
+			o := &prof.Options[i]
+			// A footprint above the whole budget never fits; clamping it
+			// keeps the int conversion in range.
+			q := budgetQuanta + 1
+			if need := math.Ceil(o.CkptBytesPerMB * retained / quantum); need <= budgetQuanta {
+				q = int(need)
+			}
+			costs = append(costs, optionCost{quanta: q, stageTime: prof.FwdTime + prof.BwdTime + o.ExtraBwdTime})
+		}
 	}
 
-	// DP from the last stage backwards (Alg 2 lines 2–5):
-	// T[t][m] = minimal achievable bottleneck time for stages t..p−1 given
-	// m quanta of budget.
+	// DP from the last stage backwards (Alg 2 lines 2–5). next holds
+	// T[t+1] (T[p] = 0) and cur receives T[t].
 	const inf = math.MaxFloat64
-	T := make([][]float64, p+1)
-	choice := make([][]int, p)
-	for t := range T {
-		T[t] = make([]float64, budgetQuanta+1)
-	}
-	for m := 0; m <= budgetQuanta; m++ {
-		T[p][m] = 0
-	}
+	const width = budgetQuanta + 1
+	rows := make([]float64, 2*width)
+	next, cur := rows[:width], rows[width:]
+	choice := make([]int32, p*width)
+	base := nopts
 	for t := p - 1; t >= 0; t-- {
-		choice[t] = make([]int, budgetQuanta+1)
+		n := len(profiles[t].Options)
+		base -= n
+		oc := costs[base : base+n]
+		ch := choice[t*width : (t+1)*width]
+		lo := n // options lo..n−1 fit the budget m
 		for m := 0; m <= budgetQuanta; m++ {
+			for lo > 0 && oc[lo-1].quanta <= m {
+				lo--
+			}
 			best := inf
 			bestOpt := -1
-			for oi, o := range profiles[t].Options {
-				q := need(o, profiles[t])
-				if q > m {
-					continue
+			for oi := lo; oi < n; oi++ {
+				st := oc[oi].stageTime
+				if st >= best {
+					break
 				}
-				tail := T[t+1][m-q]
+				tail := next[m-oc[oi].quanta]
 				if tail >= inf {
 					continue
 				}
-				tmax := math.Max(tail, stageTime(profiles[t], o))
-				// Tie-break toward less recomputation (options are
-				// sorted by descending memory, ascending time).
+				tmax := st
+				if tail > st {
+					tmax = tail
+				}
 				if tmax < best {
 					best = tmax
 					bestOpt = oi
 				}
 			}
-			T[t][m] = best
-			choice[t][m] = bestOpt
+			cur[m] = best
+			ch[m] = int32(bestOpt)
 		}
+		next, cur = cur, next
 	}
-	if T[0][budgetQuanta] >= inf {
+	// After the last swap next holds T[0].
+	if next[budgetQuanta] >= inf {
 		return nil, fmt.Errorf("recompute: no feasible recomputation plan")
 	}
 
@@ -201,19 +299,21 @@ func GCMR(profiles []StageProfile) (*Plan, error) {
 		Choice:         make([]int, p),
 		StageCkptBytes: make([]float64, p),
 		ExtraBwd:       make([]float64, p),
-		MaxStageTime:   T[0][budgetQuanta],
+		MaxStageTime:   next[budgetQuanta],
 	}
 	m := budgetQuanta
 	for t := 0; t < p; t++ {
-		oi := choice[t][m]
+		prof := &profiles[t]
+		oi := int(choice[t*width+m])
 		if oi < 0 {
 			return nil, fmt.Errorf("recompute: extraction failed at stage %d", t)
 		}
-		o := profiles[t].Options[oi]
+		o := &prof.Options[oi]
 		plan.Choice[t] = oi
-		plan.StageCkptBytes[t] = o.CkptBytesPerMB * float64(profiles[t].Retained)
+		plan.StageCkptBytes[t] = o.CkptBytesPerMB * float64(prof.Retained)
 		plan.ExtraBwd[t] = o.ExtraBwdTime
-		m -= need(o, profiles[t])
+		m -= costs[base+oi].quanta
+		base += len(prof.Options)
 	}
 
 	// Sender/Helper identification and pairing (Alg 2 lines 9–14).
@@ -221,16 +321,35 @@ func GCMR(profiles []StageProfile) (*Plan, error) {
 		stage int
 		delta float64 // positive = overflow, negative = spare
 	}
-	var senders, helpers []pressure
+	delta := func(t int) float64 {
+		return plan.StageCkptBytes[t] - profiles[t].localCheckpointCapacity()
+	}
+	ns := 0
 	for t := 0; t < p; t++ {
-		delta := plan.StageCkptBytes[t] - profiles[t].localCheckpointCapacity()
-		if delta > 1e-6 {
-			senders = append(senders, pressure{t, delta})
-			plan.Senders = append(plan.Senders, t)
-		} else {
-			helpers = append(helpers, pressure{t, delta})
-			plan.Helpers = append(plan.Helpers, t)
+		if delta(t) > 1e-6 {
+			ns++
 		}
+	}
+	// Senders fill [0, ns) and helpers [ns, p) of one array each, both
+	// in stage order.
+	pres := make([]pressure, p)
+	order := make([]int, p)
+	nextSender, nextHelper := 0, ns
+	for t := 0; t < p; t++ {
+		i := &nextHelper
+		d := delta(t)
+		if d > 1e-6 {
+			i = &nextSender
+		}
+		pres[*i], order[*i] = pressure{t, d}, t
+		*i++
+	}
+	senders, helpers := pres[:ns], pres[ns:]
+	if ns > 0 {
+		plan.Senders = order[:ns:ns]
+	}
+	if ns < p {
+		plan.Helpers = order[ns:]
 	}
 	sort.Slice(senders, func(i, j int) bool { return senders[i].delta > senders[j].delta })
 	sort.Slice(helpers, func(i, j int) bool { return helpers[i].delta < helpers[j].delta }) // most spare first
@@ -244,6 +363,9 @@ func GCMR(profiles []StageProfile) (*Plan, error) {
 				continue
 			}
 			take := math.Min(spare, remaining)
+			if plan.Pairs == nil {
+				plan.Pairs = make([]MemPair, 0, p)
+			}
 			plan.Pairs = append(plan.Pairs, MemPair{Sender: s.stage, Helper: helpers[hi].stage, Bytes: take})
 			plan.OverflowBytes += take
 			helpers[hi].delta += take
