@@ -21,15 +21,16 @@ race:
 # lane on vs off, failing the run unless prefetch wins the hit rate) —
 # plus the speedups vs the recorded PR-1..PR-9 baselines, the in-run
 # PR3-era annealer full-re-evaluation baseline, and the in-run scalar
-# references of the batched annealer and GA paths).
+# reference of the speculative batched annealer).
 bench:
 	go run ./cmd/bench -out BENCH_pr10.json
 
 # Fast regression gate for the search inner loops: the zero-alloc
-# assertions of the scalar annealer swap path and the batched ScorerBatch
-# pass and the GCMR allocation bound (the benchmarks only report allocs,
-# they don't fail on them) plus one iteration of each annealer/batch/
-# placement/GA and GCMR/BuildOptions benchmark, and 10 s of fuzzing GCMR
+# assertions of the scalar annealer swap path and the annealer's
+# ScorerBatch propose/EvaluateOne/commit cycle and the GCMR allocation
+# bound (the benchmarks only report allocs, they don't fail on them) plus
+# one iteration of each annealer/batch/placement/GA and GCMR/BuildOptions
+# benchmark, and 10 s of fuzzing GCMR
 # against its unpruned reference, so a broken or allocating hot path fails
 # in seconds without waiting for the full bench run.
 bench-smoke:

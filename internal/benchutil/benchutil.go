@@ -68,7 +68,7 @@ func AnnealSwapCycle(sc *placement.Scorer, pp int, rng *rand.Rand) func() {
 }
 
 // AnnealBatchCycle returns one speculative batch pass over a ScorerBatch —
-// propose k distinct random swaps, evaluate all candidates in one pass, and
+// propose k random swaps, evaluate each candidate with EvaluateOne, and
 // commit a random one on a 1-in-8 coin (the late-anneal acceptance shape,
 // where most passes reject the whole window). The closure is the measured
 // body of the anneal-swap-batch benchmarks and the batch zero-alloc guard;
@@ -83,7 +83,9 @@ func AnnealBatchCycle(batch *placement.ScorerBatch, pp, k int, rng *rand.Rand) f
 			}
 			batch.Propose(a, b)
 		}
-		batch.Evaluate()
+		for i := 0; i < k; i++ {
+			batch.EvaluateOne(i)
+		}
 		if rng.Intn(8) == 0 {
 			batch.Commit(rng.Intn(k))
 		}

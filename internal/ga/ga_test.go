@@ -3,6 +3,7 @@ package ga
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -224,10 +225,10 @@ func meshSwitchProblem(t *testing.T) (*Problem, Genome) {
 }
 
 // TestOptimizeDeterministicAcrossWorkers pins the §IV-D contract that
-// fitness scoring is a pure function of the genome: Workers=1 and
-// Workers=8 must produce identical convergence histories and best
-// genomes, on both the square and mesh-switch meshes, even though the
-// per-worker component caches partition differently.
+// fitness scoring is a pure function of the genome: every worker count must
+// produce the Workers=1 convergence history and best genome, on both the
+// square and mesh-switch meshes, even though the per-worker component
+// caches partition differently.
 func TestOptimizeDeterministicAcrossWorkers(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -237,26 +238,66 @@ func TestOptimizeDeterministicAcrossWorkers(t *testing.T) {
 		{"meshswitch", meshSwitchProblem},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			prob1, seed := tc.build(t)
-			prob8, _ := tc.build(t)
-			r1, err := Optimize(prob1, seed, Options{Population: 20, Generations: 25, Omega: 0.5, Seed: 11, Workers: 1})
-			if err != nil {
-				t.Fatal(err)
+			run := func(workers int) *Result {
+				prob, seed := tc.build(t)
+				res, err := Optimize(prob, seed, Options{Population: 20, Generations: 25, Omega: 0.5, Seed: 11, Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
 			}
-			r8, err := Optimize(prob8, seed, Options{Population: 20, Generations: 25, Omega: 0.5, Seed: 11, Workers: 8})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(r1.History) != len(r8.History) {
-				t.Fatalf("history lengths differ: %d vs %d", len(r1.History), len(r8.History))
-			}
-			for g := range r1.History {
-				if r1.History[g] != r8.History[g] {
-					t.Fatalf("generation %d: Workers=1 best %x, Workers=8 best %x", g, r1.History[g], r8.History[g])
+			r1 := run(1)
+			for _, workers := range []int{3, 4, 8} {
+				rw := run(workers)
+				if len(r1.History) != len(rw.History) {
+					t.Fatalf("workers=%d: history length %d, Workers=1 %d", workers, len(rw.History), len(r1.History))
+				}
+				for g := range r1.History {
+					if r1.History[g] != rw.History[g] {
+						t.Fatalf("workers=%d generation %d: best %x, Workers=1 best %x", workers, g, rw.History[g], r1.History[g])
+					}
+				}
+				if r1.BestFitness != rw.BestFitness {
+					t.Fatalf("workers=%d: best fitness %x, Workers=1 %x", workers, rw.BestFitness, r1.BestFitness)
+				}
+				if !reflect.DeepEqual(r1.Best, rw.Best) {
+					t.Fatalf("workers=%d: best genome %+v, Workers=1 %+v", workers, rw.Best, r1.Best)
 				}
 			}
-			if r1.BestFitness != r8.BestFitness {
-				t.Fatalf("best fitness differs: %x vs %x", r1.BestFitness, r8.BestFitness)
+		})
+	}
+}
+
+// TestOptimizeBatchedMatchesScalar pins the pool-scored fitness leg: Optimize
+// scores each generation as a batch of pool tasks, each worker through its
+// own component-cached scratch, and the genome it reports must score the
+// same under the scalar, uncached Problem.Fitness reference — bit for bit —
+// at every worker count, with the last History entry equal to BestFitness.
+func TestOptimizeBatchedMatchesScalar(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		build func(*testing.T) (*Problem, Genome)
+	}{
+		{"mesh2d", testProblem},
+		{"meshswitch", meshSwitchProblem},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, workers := range []int{1, 3, 4, 8} {
+				prob, seed := tc.build(t)
+				res, err := Optimize(prob, seed, Options{Population: 20, Generations: 25, Omega: 0.5, Seed: 11, Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.IsInf(res.BestFitness, 1) {
+					t.Fatalf("workers=%d: no feasible genome", workers)
+				}
+				ref, _ := tc.build(t)
+				if scalar := ref.Fitness(res.Best); scalar != res.BestFitness {
+					t.Fatalf("workers=%d: best fitness %x, scalar Fitness of best genome %x", workers, res.BestFitness, scalar)
+				}
+				if last := res.History[len(res.History)-1]; last != res.BestFitness {
+					t.Fatalf("workers=%d: last history entry %x, best fitness %x", workers, last, res.BestFitness)
+				}
 			}
 		})
 	}
@@ -267,17 +308,17 @@ func TestOptimizeDeterministicAcrossWorkers(t *testing.T) {
 // evaluations served from the caches.
 func TestFitnessScratchMatchesDirect(t *testing.T) {
 	prob, seed := testProblem(t)
-	scratch := prob.newScratch(16)
+	scratch := prob.newScratch()
 	rng := newRand(17)
 	g := seed.Clone()
 	for i := 0; i < 400; i++ {
 		prob.mutate(&g, rng)
 		direct := prob.Fitness(g)
-		cached := prob.fitness(g, scratch)
+		cached := scratch.fitness(g)
 		if direct != cached && !(math.IsInf(direct, 1) && math.IsInf(cached, 1)) {
 			t.Fatalf("mutation %d: direct fitness %x, scratch fitness %x", i, direct, cached)
 		}
-		if again := prob.fitness(g, scratch); again != cached && !(math.IsInf(again, 1) && math.IsInf(cached, 1)) {
+		if again := scratch.fitness(g); again != cached && !(math.IsInf(again, 1) && math.IsInf(cached, 1)) {
 			t.Fatalf("mutation %d: cache-hit fitness %x, first %x", i, again, cached)
 		}
 	}
@@ -294,7 +335,7 @@ func TestFitnessRejectsOutOfRangePerm(t *testing.T) {
 		if !math.IsInf(prob.Fitness(g), 1) {
 			t.Errorf("perm entry %d should be infeasible", bad)
 		}
-		if !math.IsInf(prob.fitness(g, prob.newScratch(16)), 1) {
+		if !math.IsInf(prob.newScratch().fitness(g), 1) {
 			t.Errorf("perm entry %d should be infeasible on the scratch path", bad)
 		}
 	}
@@ -359,59 +400,5 @@ func TestOp4OperatorDistribution(t *testing.T) {
 	if removes != 776 || resizes != 1739 || adds != 2174 || other != 311 {
 		t.Errorf("operator distribution (remove=%d resize=%d add=%d none=%d) drifted from the pinned seed-42 counts (776/1739/2174/311)",
 			removes, resizes, adds, other)
-	}
-}
-
-// TestOptimizeBatchedMatchesScalar pins the batched placement-cost leg: the
-// GA run with ScorerBatch-backed chunk scoring (any width) must be
-// bit-identical — every generation's best fitness and the final genome — to
-// the scalar per-leg evaluation (PlacementBatch=1), across worker counts.
-// The batched costs are exact, so batching is purely a throughput knob.
-func TestOptimizeBatchedMatchesScalar(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		build func(*testing.T) (*Problem, Genome)
-	}{
-		{"mesh2d", testProblem},
-		{"meshswitch", meshSwitchProblem},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			probScalar, seed := tc.build(t)
-			scalar, err := Optimize(probScalar, seed, Options{Population: 20, Generations: 25, Omega: 0.5, Seed: 11, Workers: 1, PlacementBatch: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, opt := range []Options{
-				{Population: 20, Generations: 25, Omega: 0.5, Seed: 11, Workers: 1, PlacementBatch: 8},
-				{Population: 20, Generations: 25, Omega: 0.5, Seed: 11, Workers: 1}, // default batch 16
-				{Population: 20, Generations: 25, Omega: 0.5, Seed: 11, Workers: 4}, // batched + parallel chunks
-				{Population: 20, Generations: 25, Omega: 0.5, Seed: 11, Workers: 3, PlacementBatch: 2},
-			} {
-				prob, _ := tc.build(t)
-				batched, err := Optimize(prob, seed, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if batched.BestFitness != scalar.BestFitness {
-					t.Fatalf("batch=%d workers=%d: best fitness %x, scalar %x",
-						opt.PlacementBatch, opt.Workers, batched.BestFitness, scalar.BestFitness)
-				}
-				if len(batched.History) != len(scalar.History) {
-					t.Fatalf("batch=%d workers=%d: history length %d, scalar %d",
-						opt.PlacementBatch, opt.Workers, len(batched.History), len(scalar.History))
-				}
-				for g := range scalar.History {
-					if batched.History[g] != scalar.History[g] {
-						t.Fatalf("batch=%d workers=%d generation %d: best %x, scalar %x",
-							opt.PlacementBatch, opt.Workers, g, batched.History[g], scalar.History[g])
-					}
-				}
-				for s := range scalar.Best.Perm {
-					if batched.Best.Perm[s] != scalar.Best.Perm[s] {
-						t.Fatalf("batch=%d workers=%d: best perm differs at stage %d", opt.PlacementBatch, opt.Workers, s)
-					}
-				}
-			}
-		})
 	}
 }

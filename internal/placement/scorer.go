@@ -1,4 +1,5 @@
-// Incremental Eq 2 scoring for the annealer and GA inner loops.
+// Incremental Eq 2 scoring for the annealer's swap loop and the GA's
+// per-worker fitness scratch.
 //
 // A Scorer holds the Eq 2 evaluation of one stage→anchor assignment in
 // decomposed form — the per-pipeline-edge path terms, an incrementally

@@ -1,4 +1,5 @@
-// Batched K-candidate swap evaluation for the annealer and GA inner loops.
+// Batched K-candidate swap evaluation for the speculative annealer
+// (OptimizeWindow).
 //
 // ScorerBatch evaluates up to K proposed two-anchor swaps against one
 // committed assignment without mutating it. It shares everything heavy with
@@ -9,22 +10,22 @@
 //   - a base term vector (pipeline-edge terms in stage order, then the
 //     finite valid pair terms in declaration order) snapshotted from the
 //     committed Scorer and keyed on its generation counter;
-//   - a lane-major slab of K candidate term vectors, each initialised by a
-//     flat copy of the base and patched only at the candidate's dirty
-//     entries (≤4 pipeline edges, moved pairs, γ-touched pairs);
+//   - one shared candidate term vector kept equal to the base between
+//     evaluations: a candidate patches only its dirty entries (≤4 pipeline
+//     edges, moved pairs, γ-touched pairs), sums, then restores them;
 //   - a dense per-link virtual-occupancy plane reused across the K
 //     candidates through epoch stamping (no clearing passes), distilled per
 //     candidate into an occupancy-after word vector so pair γ counts are
 //     flat AND+popcount loops over interned link masks.
 //
-// The K costs then fall out of K flat []float64 lane sums. Because every
-// lane entry is either the committed term (bit-copied) or recomputed with
-// the exact expression the scalar path uses, and the lane sum visits terms
-// in the scalar resum order, each candidate's cost is bit-identical to what
-// a sequential SwapDelta would return from the same committed state —
-// pinned by TestScorerBatchMatchesSwapDelta. Invalid and infinite pair
-// terms appear as +0.0 lane entries, an exact additive identity, so layout
-// never perturbs a single float bit.
+// Each candidate's cost then falls out of one flat []float64 lane sum.
+// Because every lane entry is either the committed term (bit-copied) or
+// recomputed with the exact expression the scalar path uses, and the lane
+// sum visits terms in the scalar resum order, each candidate's cost is
+// bit-identical to what a sequential SwapDelta would return from the same
+// committed state — pinned by TestScorerBatchMatchesSwapDelta. Invalid and
+// infinite pair terms appear as +0.0 lane entries, an exact additive
+// identity, so layout never perturbs a single float bit.
 //
 // Relative to K scalar SwapDelta+Revert round trips, a batch pass performs
 // no revert sweep, no inverted-index detach/attach churn and no multiset
@@ -49,7 +50,6 @@ type ScorerBatch struct {
 	n     int
 	candA []int32
 	candB []int32
-	costs []float64
 
 	// Base term vector of the committed state: pipeline-edge terms in stage
 	// order followed by the valid pairs' terms in declaration order (+0.0
@@ -151,7 +151,7 @@ type ScorerBatch struct {
 // NewScorerBatch returns a batch evaluator of capacity k over sc's
 // committed state. The batch observes sc through its generation counter:
 // any commit (Apply, Reset) — including the batch's own Commit — refreshes
-// the base snapshot on the next Evaluate.
+// the base snapshot on the next EvaluateOne.
 func NewScorerBatch(sc *Scorer, k int) *ScorerBatch {
 	if k < 1 {
 		k = 1
@@ -161,14 +161,10 @@ func NewScorerBatch(sc *Scorer, k int) *ScorerBatch {
 		kap:   k,
 		candA: make([]int32, 0, k),
 		candB: make([]int32, 0, k),
-		costs: make([]float64, k),
-		gen:   sc.gen - 1, // force a base sync on first Evaluate
+		gen:   sc.gen - 1, // force a base sync on first EvaluateOne
 	}
 	return b
 }
-
-// Cap returns the candidate capacity K.
-func (b *ScorerBatch) Cap() int { return b.kap }
 
 // Len returns the number of proposed candidates.
 func (b *ScorerBatch) Len() int { return b.n }
@@ -200,28 +196,11 @@ func (b *ScorerBatch) Propose(x, y int) int {
 	return b.n - 1
 }
 
-// Evaluate computes the cost of every proposed candidate's assignment and
-// returns them indexed by Propose order. The returned slice is reused
-// across calls. Each cost is bit-identical to the newCost a sequential
-// SwapDelta of that candidate would return from the committed state; the
-// committed state itself is not touched.
-func (b *ScorerBatch) Evaluate() []float64 {
-	if b.sc.pending {
-		panic("placement: ScorerBatch.Evaluate with a pending swap on the Scorer")
-	}
-	if b.gen != b.sc.gen {
-		b.syncBase()
-	}
-	costs := b.costs[:b.n]
-	for k := 0; k < b.n; k++ {
-		costs[k] = b.evalCand(k)
-	}
-	return costs
-}
-
-// EvaluateOne computes the cost of candidate i alone — the same value
-// Evaluate()[i] would hold, under the same bit-identity contract — without
-// evaluating any other candidate. The speculative annealer replays
+// EvaluateOne computes the cost of candidate i's assignment without
+// evaluating any other candidate. The cost is bit-identical to the newCost
+// a sequential SwapDelta of that candidate would return from the committed
+// state; the committed state itself is not touched. The speculative
+// annealer replays
 // Metropolis decisions in draw order and commits at the first acceptance,
 // so evaluating lazily in replay order means candidates past the
 // acceptance point are never evaluated at all.

@@ -113,13 +113,13 @@ func TestScorerBatchMatchesSwapDelta(t *testing.T) {
 						batch.Propose(x, y)
 						cand = append(cand, [2]int{x, y})
 					}
-					costs := batch.Evaluate()
 					for j, c := range cand {
+						got := batch.EvaluateOne(j)
 						want, _ := ref.SwapDelta(c[0], c[1])
 						ref.Revert()
-						if costs[j] != want {
+						if got != want {
 							t.Fatalf("trial %d batch %d cand %d (%d,%d): batch = %x, scalar SwapDelta = %x",
-								trial, b, j, c[0], c[1], math.Float64bits(costs[j]), math.Float64bits(want))
+								trial, b, j, c[0], c[1], math.Float64bits(got), math.Float64bits(want))
 						}
 					}
 					totalBatches++
@@ -149,9 +149,9 @@ func TestScorerBatchMatchesSwapDelta(t *testing.T) {
 	}
 }
 
-// TestScorerBatchAfterReset pins the GA scratch lifecycle: re-targeting the
-// underlying Scorer at a new assignment and workload (Reset) must re-sync
-// the batch base, with candidate costs again bit-identical to SwapDelta.
+// TestScorerBatchAfterReset pins the re-targeting lifecycle: resetting the
+// underlying Scorer to a new assignment and workload must re-sync the batch
+// base, with candidate costs again bit-identical to SwapDelta.
 func TestScorerBatchAfterReset(t *testing.T) {
 	m := scorerTopologies()[0].m
 	rng := rand.New(rand.NewSource(5))
@@ -182,13 +182,13 @@ func TestScorerBatchAfterReset(t *testing.T) {
 			batch.Propose(x, y)
 			cand = append(cand, [2]int{x, y})
 		}
-		costs := batch.Evaluate()
 		for j, c := range cand {
+			got := batch.EvaluateOne(j)
 			want, _ := ref.SwapDelta(c[0], c[1])
 			ref.Revert()
-			if costs[j] != want {
+			if got != want {
 				t.Fatalf("trial %d cand %d: batch = %x, scalar = %x",
-					trial, j, math.Float64bits(costs[j]), math.Float64bits(want))
+					trial, j, math.Float64bits(got), math.Float64bits(want))
 			}
 		}
 	}
@@ -218,9 +218,10 @@ func TestScorerBatchDiscipline(t *testing.T) {
 	batch.Propose(2, 3)
 	mustPanic("propose beyond capacity", func() { batch.Propose(4, 5) })
 	mustPanic("commit out of range", func() { batch.Commit(2) })
+	mustPanic("evaluate out of range", func() { batch.EvaluateOne(2) })
 	sc.SwapDelta(0, 1)
 	mustPanic("propose with pending scalar swap", func() { batch.Reset(); batch.Propose(0, 1) })
-	mustPanic("evaluate with pending scalar swap", func() { batch.Evaluate() })
+	mustPanic("evaluate with pending scalar swap", func() { batch.EvaluateOne(0) })
 	sc.Revert()
 }
 
@@ -271,8 +272,8 @@ func TestOptimizeSpeculativeMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestScorerBatchZeroAlloc asserts the batch propose/evaluate/commit cycle
-// performs no steady-state allocations on an interned mesh.
+// TestScorerBatchZeroAlloc asserts the batch propose/EvaluateOne/commit
+// cycle performs no steady-state allocations on an interned mesh.
 func TestScorerBatchZeroAlloc(t *testing.T) {
 	tc := scorerTopologies()[0]
 	base, err := Partition(tc.m, tc.tp, tc.pp)
@@ -284,22 +285,25 @@ func TestScorerBatchZeroAlloc(t *testing.T) {
 		anchors[i] = base[i].Anchor()
 	}
 	sc := NewScorer(tc.m, anchors, fig11Workload())
-	batch := NewScorerBatch(sc, 8)
+	const k = 8
+	batch := NewScorerBatch(sc, k)
 	rng := rand.New(rand.NewSource(11))
 	cycle := func() {
 		batch.Reset()
-		for batch.Len() < batch.Cap() {
+		for batch.Len() < k {
 			x, y := rng.Intn(tc.pp), rng.Intn(tc.pp)
 			if x == y {
 				continue
 			}
 			batch.Propose(x, y)
 		}
-		batch.Evaluate()
+		for i := 0; i < k; i++ {
+			batch.EvaluateOne(i)
+		}
 		// Commit one candidate every few cycles: the base re-sync after a
 		// commit must also be allocation-free.
 		if rng.Intn(4) == 0 {
-			batch.Commit(rng.Intn(batch.Cap()))
+			batch.Commit(rng.Intn(k))
 		}
 	}
 	// Warm the shared inverted index and the batch planes to steady state.
@@ -307,6 +311,6 @@ func TestScorerBatchZeroAlloc(t *testing.T) {
 		cycle()
 	}
 	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
-		t.Fatalf("batch propose/evaluate/commit cycle allocates %.1f objects/op, want 0", allocs)
+		t.Fatalf("batch propose/EvaluateOne/commit cycle allocates %.1f objects/op, want 0", allocs)
 	}
 }

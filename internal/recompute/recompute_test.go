@@ -548,6 +548,72 @@ func TestGCMRTableMonotoneProperty(t *testing.T) {
 	}
 }
 
+// reshuffleDuplicates returns a copy of profiles in which every run of
+// options with equal CkptBytesPerMB and ExtraBwdTime is re-emitted with a
+// random length of 1..3 copies in a random order. Each copy carries a
+// distinct RecomputedOps tag, so the copies are told apart only by what
+// GCMR must ignore. The result is still a pareto front in order.
+func reshuffleDuplicates(rng *rand.Rand, profiles []StageProfile) []StageProfile {
+	out := make([]StageProfile, len(profiles))
+	tag := 0
+	for s, prof := range profiles {
+		out[s] = prof
+		out[s].Options = nil
+		opts := prof.Options
+		for i := 0; i < len(opts); {
+			j := i + 1
+			for j < len(opts) && opts[j].CkptBytesPerMB == opts[i].CkptBytesPerMB && opts[j].ExtraBwdTime == opts[i].ExtraBwdTime {
+				j++
+			}
+			run := make([]Option, 1+rng.Intn(3))
+			for k := range run {
+				tag++
+				run[k] = Option{RecomputedOps: []int{tag}, CkptBytesPerMB: opts[i].CkptBytesPerMB, ExtraBwdTime: opts[i].ExtraBwdTime}
+			}
+			rng.Shuffle(len(run), func(a, b int) { run[a], run[b] = run[b], run[a] })
+			out[s].Options = append(out[s].Options, run...)
+			i = j
+		}
+	}
+	return out
+}
+
+// TestGCMRDuplicateOptionOrderProperty pins GCMR's tie order: how many
+// exact duplicates of an option a stage lists, and in which order, must not
+// change the plan. The bottleneck time is bit-equal, every stage chooses an
+// option with the same footprint and extra time, and the per-stage totals,
+// Senders, Helpers and Pairs are identical; only the Choice indices may
+// differ.
+func TestGCMRDuplicateOptionOrderProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for i := 0; i < 300; i++ {
+		profiles := randomProfiles(rng, 1+rng.Intn(12), 16)
+		variant := reshuffleDuplicates(rng, profiles)
+		want, werr := GCMR(profiles)
+		got, err := GCMR(variant)
+		if (err == nil) != (werr == nil) || (err != nil && err.Error() != werr.Error()) {
+			t.Fatalf("case %d: error %v with reshuffled duplicates, %v without", i, err, werr)
+		}
+		if err != nil {
+			continue
+		}
+		if math.Float64bits(got.MaxStageTime) != math.Float64bits(want.MaxStageTime) {
+			t.Fatalf("case %d: bottleneck %x with reshuffled duplicates, %x without", i, got.MaxStageTime, want.MaxStageTime)
+		}
+		for st := range profiles {
+			g, w := variant[st].Options[got.Choice[st]], profiles[st].Options[want.Choice[st]]
+			if g.CkptBytesPerMB != w.CkptBytesPerMB || g.ExtraBwdTime != w.ExtraBwdTime {
+				t.Fatalf("case %d stage %d: chose %+v with reshuffled duplicates, %+v without", i, st, g, w)
+			}
+		}
+		gotRest, wantRest := *got, *want
+		gotRest.Choice, wantRest.Choice = nil, nil
+		if !reflect.DeepEqual(gotRest, wantRest) {
+			t.Fatalf("case %d: plan %+v with reshuffled duplicates, %+v without", i, gotRest, wantRest)
+		}
+	}
+}
+
 func TestGCMRRejectsUnorderedOptions(t *testing.T) {
 	for _, tc := range []struct {
 		name    string

@@ -432,7 +432,7 @@ func (sw *Sweeps) Register(mux *http.ServeMux, admitErr func(http.ResponseWriter
 		// Pre-validate so bad requests stay 400 on both the async and the
 		// blocking flow; later failures are admission- or execution-side.
 		if _, _, err := ExpandSweep(req); err != nil {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
+			WriteError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 		st, err := sw.Start(req)
@@ -440,27 +440,27 @@ func (sw *Sweeps) Register(mux *http.ServeMux, admitErr func(http.ResponseWriter
 		case err != nil:
 			admitErr(w, err)
 		case r.URL.Query().Get("wait") == "":
-			writeJSON(w, http.StatusAccepted, st)
+			WriteJSON(w, http.StatusAccepted, st)
 		default:
 			// Synchronous compatibility flow: block until the merge.
 			if res, err := sw.result(r.Context(), st.ID); err != nil {
-				writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
+				WriteError(w, http.StatusInternalServerError, err.Error())
 			} else {
-				writeJSON(w, http.StatusOK, res)
+				WriteJSON(w, http.StatusOK, res)
 			}
 		}
 	})
 	mux.HandleFunc("GET /v1/sweeps", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, sw.List())
+		WriteJSON(w, http.StatusOK, sw.List())
 	})
 	mux.HandleFunc("GET /v1/sweeps/{id}", func(w http.ResponseWriter, r *http.Request) {
 		id := r.PathValue("id")
 		st, err := sw.Lookup(id)
 		if err != nil {
-			writeJSON(w, SweepLookupStatus(err), errorBody{Error: "sweep " + id + ": " + err.Error()})
+			WriteError(w, SweepLookupStatus(err), "sweep "+id+": "+err.Error())
 			return
 		}
-		writeJSON(w, http.StatusOK, st)
+		WriteJSON(w, http.StatusOK, st)
 	})
 }
 

@@ -56,12 +56,19 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON answers with status and v as a JSON body. Both tiers (daemon
+// and router) render every response through it, so their bytes agree.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
 	enc.Encode(v)
+}
+
+// WriteError answers with status and a {"error": msg} JSON body.
+func WriteError(w http.ResponseWriter, status int, msg string) {
+	WriteJSON(w, status, errorBody{Error: msg})
 }
 
 // MaxRequestBytes bounds a job-submission body; a Request is a handful of
@@ -91,14 +98,14 @@ func WriteSubmitError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.As(err, &shed):
 		SetRetryAfter(w, shed.RetryAfter)
-		writeJSON(w, http.StatusTooManyRequests, errorBody{Error: err.Error()})
+		WriteError(w, http.StatusTooManyRequests, err.Error())
 	case errors.Is(err, ErrBusy):
 		SetRetryAfter(w, time.Second)
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
+		WriteError(w, http.StatusServiceUnavailable, err.Error())
 	case errors.Is(err, ErrDraining):
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
+		WriteError(w, http.StatusServiceUnavailable, err.Error())
 	default:
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
+		WriteError(w, http.StatusBadRequest, err.Error())
 	}
 }
 
@@ -110,7 +117,7 @@ func DecodeRequest(w http.ResponseWriter, r *http.Request) (Request, bool) {
 	// A typo'd field must fail loudly, not silently run the default job.
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
+		WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return req, false
 	}
 	return req, true
@@ -126,14 +133,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	case err != nil:
 		WriteSubmitError(w, err)
 	case coalesced:
-		writeJSON(w, http.StatusOK, j)
+		WriteJSON(w, http.StatusOK, j)
 	default:
-		writeJSON(w, http.StatusAccepted, j)
+		WriteJSON(w, http.StatusAccepted, j)
 	}
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Jobs())
+	WriteJSON(w, http.StatusOK, s.Jobs())
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
@@ -141,30 +148,30 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.Job(id)
 	if !ok {
 		if s.JobGone(id) {
-			writeJSON(w, http.StatusGone, errorBody{Error: "job " + id + " evicted from history"})
+			WriteError(w, http.StatusGone, "job "+id+" evicted from history")
 			return
 		}
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "unknown job " + id})
+		WriteError(w, http.StatusNotFound, "unknown job "+id)
 		return
 	}
-	writeJSON(w, http.StatusOK, j)
+	WriteJSON(w, http.StatusOK, j)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Stats())
+	WriteJSON(w, http.StatusOK, s.Stats())
 }
 
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Trace())
+	WriteJSON(w, http.StatusOK, s.Trace())
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	info, err := s.SaveSnapshot()
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
+		WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, info)
+	WriteJSON(w, http.StatusOK, info)
 }
 
 // handleSnapshotPull streams the live cache snapshot (header+body gob, the
@@ -189,11 +196,11 @@ func (s *Server) handleSnapshotPush(w http.ResponseWriter, r *http.Request) {
 	info, err := s.RestoreSnapshotFrom(r.Body)
 	switch {
 	case errors.Is(err, ErrStaleSnapshot):
-		writeJSON(w, http.StatusConflict, errorBody{Error: err.Error()})
+		WriteError(w, http.StatusConflict, err.Error())
 	case err != nil:
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
+		WriteError(w, http.StatusBadRequest, err.Error())
 	default:
-		writeJSON(w, http.StatusOK, info)
+		WriteJSON(w, http.StatusOK, info)
 	}
 }
 
@@ -202,7 +209,7 @@ func (s *Server) handleSnapshotPush(w http.ResponseWriter, r *http.Request) {
 // while its snapshot is handed to the inheritors.
 func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 	s.BeginDrain()
-	writeJSON(w, http.StatusOK, s.Stats())
+	WriteJSON(w, http.StatusOK, s.Stats())
 }
 
 // handleHealth is the routing tier's admission signal, so a draining daemon
@@ -210,8 +217,8 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 // stop receiving new routed work immediately.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if s.Draining() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }

@@ -99,7 +99,7 @@ func (l routedLegs) Finish(part service.Request, _ service.SweepLeg, deadline ti
 // anything else renders as the daemons' submission errors do.
 func writeSweepAdmitError(w http.ResponseWriter, err error) {
 	if errors.Is(err, ErrNoShards) {
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
+		service.WriteError(w, http.StatusServiceUnavailable, err.Error())
 		return
 	}
 	service.WriteSubmitError(w, err)

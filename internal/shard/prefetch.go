@@ -158,7 +158,7 @@ func (r *Router) Trace() service.TraceInfo {
 }
 
 func (r *Router) handleTrace(w http.ResponseWriter, req *http.Request) {
-	writeJSON(w, http.StatusOK, r.Trace())
+	service.WriteJSON(w, http.StatusOK, r.Trace())
 }
 
 // newRouterTrace builds the router's trace recorder (shared constructor so

@@ -187,18 +187,6 @@ func drainingAnswer(err error) bool {
 		strings.Contains(se.Message, "draining")
 }
 
-type errorBody struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	enc.Encode(v)
-}
-
 // Handler returns the router's HTTP API.
 func (r *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -320,7 +308,7 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	}
 	norm, err := jr.Normalize()
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
+		service.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	fp := norm.Fingerprint()
@@ -333,7 +321,7 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	// not this step was warm.
 	if j, ok := r.cachedJob(fp); ok {
 		r.maybePrefetch(norm, fp)
-		writeJSON(w, http.StatusOK, j)
+		service.WriteJSON(w, http.StatusOK, j)
 		return
 	}
 	j, _, coalesced, err := r.submitRouted(req.Context(), jr, norm.Deadline(time.Now()))
@@ -343,7 +331,7 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	var shed *service.ShedError
 	switch {
 	case errors.Is(err, ErrNoShards):
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
+		service.WriteError(w, http.StatusServiceUnavailable, err.Error())
 	case errors.As(err, &shed):
 		// Router-side shed (deadline budget spent walking the chain): same
 		// 429 contract the shards answer with.
@@ -352,11 +340,11 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		// A shard's own answer passes through with its Retry-After hint
 		// intact, so end-client retry budgets see the same signal either way.
 		relayRetryAfter(w, err)
-		writeJSON(w, forwardStatus(err), errorBody{Error: err.Error()})
+		service.WriteError(w, forwardStatus(err), err.Error())
 	case coalesced:
-		writeJSON(w, http.StatusOK, j)
+		service.WriteJSON(w, http.StatusOK, j)
 	default:
-		writeJSON(w, http.StatusAccepted, j)
+		service.WriteJSON(w, http.StatusAccepted, j)
 	}
 }
 
@@ -387,23 +375,22 @@ func (r *Router) handleJob(w http.ResponseWriter, req *http.Request) {
 		if !found {
 			// Cache-hit job IDs are only ever minted from live entries, so a
 			// miss here means LRU/flush eviction: gone, not unknown.
-			writeJSON(w, http.StatusGone, errorBody{Error: "cached result " + id + " evicted"})
+			service.WriteError(w, http.StatusGone, "cached result "+id+" evicted")
 			return
 		}
-		writeJSON(w, http.StatusOK, service.Job{
+		service.WriteJSON(w, http.StatusOK, service.Job{
 			ID: id, Fingerprint: fp, State: service.StateDone, Result: res,
 		})
 		return
 	}
 	shardAddr, rest, ok := strings.Cut(id, "/")
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorBody{
-			Error: fmt.Sprintf("router job IDs are <shard-addr>/<job>, got %q", id)})
+		service.WriteError(w, http.StatusNotFound, fmt.Sprintf("router job IDs are <shard-addr>/<job>, got %q", id))
 		return
 	}
 	b, ok := r.Map.BackendByAddr(shardAddr)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "unknown shard " + shardAddr})
+		service.WriteError(w, http.StatusNotFound, "unknown shard "+shardAddr)
 		return
 	}
 	start := time.Now()
@@ -413,7 +400,7 @@ func (r *Router) handleJob(w http.ResponseWriter, req *http.Request) {
 		if connectionError(err) {
 			b.MarkFailed(err)
 		}
-		writeJSON(w, forwardStatus(err), errorBody{Error: err.Error()})
+		service.WriteError(w, forwardStatus(err), err.Error())
 		return
 	}
 	if j.State == service.StateDone && j.Result != nil {
@@ -422,7 +409,7 @@ func (r *Router) handleJob(w http.ResponseWriter, req *http.Request) {
 		r.Cache.Put(j.Fingerprint, j.Result)
 	}
 	j.ID = b.Addr + "/" + j.ID
-	writeJSON(w, http.StatusOK, j)
+	service.WriteJSON(w, http.StatusOK, j)
 }
 
 func (r *Router) handleList(w http.ResponseWriter, req *http.Request) {
@@ -440,7 +427,7 @@ func (r *Router) handleList(w http.ResponseWriter, req *http.Request) {
 			out = append(out, s)
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	service.WriteJSON(w, http.StatusOK, out)
 }
 
 // legRetryable classifies a sweep-leg failure. Transport failures and the
@@ -657,40 +644,47 @@ func (r *Router) Stats(ctx context.Context) RouterStats {
 }
 
 func (r *Router) handleStats(w http.ResponseWriter, req *http.Request) {
-	writeJSON(w, http.StatusOK, r.Stats(req.Context()))
+	service.WriteJSON(w, http.StatusOK, r.Stats(req.Context()))
 }
 
 func (r *Router) handleShards(w http.ResponseWriter, req *http.Request) {
-	writeJSON(w, http.StatusOK, r.Map.Statuses())
+	service.WriteJSON(w, http.StatusOK, r.Map.Statuses())
 }
 
-// addShardRequest is the POST /v1/shards payload.
-type addShardRequest struct {
-	Addr string `json:"addr"`
+// decodeShardAddr reads the {"addr": "host:port"} body of POST and DELETE
+// /v1/shards, answering 400 itself (and reporting false) when the body is
+// not one.
+func decodeShardAddr(w http.ResponseWriter, req *http.Request) (string, bool) {
+	var body struct {
+		Addr string `json:"addr"`
+	}
+	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, service.MaxRequestBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&body); err != nil || body.Addr == "" {
+		service.WriteError(w, http.StatusBadRequest, "body must be {\"addr\": \"host:port\"}")
+		return "", false
+	}
+	return body.Addr, true
 }
 
 func (r *Router) handleAddShard(w http.ResponseWriter, req *http.Request) {
-	var ar addShardRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, service.MaxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&ar); err != nil || ar.Addr == "" {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "body must be {\"addr\": \"host:port\"}"})
+	addr, ok := decodeShardAddr(w, req)
+	if !ok {
 		return
 	}
 	// Probe before admitting: an unreachable address (typo, daemon not up
 	// yet) must be rejected here, with the definitive probe result in hand,
 	// rather than admitted as a healthy routing target that every ~1/Nth
 	// submission then has to fail over from.
-	if err := r.Map.ProbeAddr(req.Context(), ar.Addr); err != nil {
-		writeJSON(w, http.StatusBadGateway, errorBody{
-			Error: fmt.Sprintf("shard %s failed its join probe: %v", ar.Addr, err)})
+	if err := r.Map.ProbeAddr(req.Context(), addr); err != nil {
+		service.WriteError(w, http.StatusBadGateway, fmt.Sprintf("shard %s failed its join probe: %v", addr, err))
 		return
 	}
-	if _, err := r.Map.Add(ar.Addr); err != nil {
-		writeJSON(w, http.StatusConflict, errorBody{Error: err.Error()})
+	if _, err := r.Map.Add(addr); err != nil {
+		service.WriteError(w, http.StatusConflict, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusCreated, r.Map.Statuses())
+	service.WriteJSON(w, http.StatusCreated, r.Map.Statuses())
 }
 
 // InheritorReport is one survivor's share of a drained shard's slice.
@@ -817,19 +811,16 @@ func (r *Router) Drain(ctx context.Context, addr string) (DrainReport, error) {
 // false, Error set) — the operator's intent is "out of the fleet", and a
 // dead shard's slice re-warms on demand via failover.
 func (r *Router) handleRemoveShard(w http.ResponseWriter, req *http.Request) {
-	var ar addShardRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, service.MaxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&ar); err != nil || ar.Addr == "" {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "body must be {\"addr\": \"host:port\"}"})
+	addr, ok := decodeShardAddr(w, req)
+	if !ok {
 		return
 	}
-	rep, err := r.Drain(req.Context(), ar.Addr)
+	rep, err := r.Drain(req.Context(), addr)
 	if err != nil {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: err.Error()})
+		service.WriteError(w, http.StatusNotFound, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, rep)
+	service.WriteJSON(w, http.StatusOK, rep)
 }
 
 // handleHealth reports the router healthy while at least one shard is
@@ -837,8 +828,8 @@ func (r *Router) handleRemoveShard(w http.ResponseWriter, req *http.Request) {
 // health checks compose through the tier.
 func (r *Router) handleHealth(w http.ResponseWriter, req *http.Request) {
 	if len(r.Map.Healthy()) == 0 {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "no healthy shards"})
+		service.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "no healthy shards"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	service.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }

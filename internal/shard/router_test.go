@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -285,6 +286,33 @@ func TestRouterStatsAggregation(t *testing.T) {
 	}
 	if perShardDone != 4 {
 		t.Errorf("per-shard done sums to %d, want 4", perShardDone)
+	}
+
+	// A malformed membership body is the caller's 400, with the same error
+	// body on both endpoints, and leaves the fleet unchanged.
+	const badBodyWant = `{"error":"body must be {\"addr\": \"host:port\"}"}` + "\n"
+	for _, tc := range []struct {
+		method, body string
+	}{
+		{http.MethodPost, `{"addr": "127.0.0.1:1", "weight": 2}`},
+		{http.MethodDelete, `not json`},
+	} {
+		req, err := http.NewRequest(tc.method, f.rts.URL+"/v1/shards", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || string(got) != badBodyWant {
+			t.Errorf("%s /v1/shards %s = HTTP %d %q, want 400 %q", tc.method, tc.body, resp.StatusCode, got, badBodyWant)
+		}
 	}
 
 	// A join to an unreachable address is rejected at the probe, leaving
