@@ -1245,9 +1245,11 @@ func main() {
 	trail := recordTrail(pred, fail)
 	search.DefaultCache().Reset()
 	sched.ResetCache()
+	collective.ResetPlanCache()
 	pfOn := prefetchReplay("prefetch-replay-on", true, trail, pred)
 	search.DefaultCache().Reset()
 	sched.ResetCache()
+	collective.ResetPlanCache()
 	pfOff := prefetchReplay("prefetch-replay-off", false, trail, pred)
 	rep.Service = append(rep.Service, pfOn, pfOff)
 	if pfOn.WarmHitRate <= pfOff.WarmHitRate {

@@ -421,9 +421,9 @@ func (sw *Sweeps) AddGauges(st *Stats) {
 }
 
 // Register serves the sweep API on mux. Admission errors — the failures
-// Start reports before a sweep runs — render through admitErr, the tier's
-// own status mapping; a sweep that ran and failed answers 500.
-func (sw *Sweeps) Register(mux *http.ServeMux, admitErr func(http.ResponseWriter, error)) {
+// Start reports before a sweep runs — render through WriteFailure, so both
+// tiers answer them alike; a sweep that ran and failed answers 500.
+func (sw *Sweeps) Register(mux *http.ServeMux) {
 	mux.HandleFunc("POST /v1/sweeps", func(w http.ResponseWriter, r *http.Request) {
 		req, ok := DecodeRequest(w, r)
 		if !ok {
@@ -438,7 +438,7 @@ func (sw *Sweeps) Register(mux *http.ServeMux, admitErr func(http.ResponseWriter
 		st, err := sw.Start(req)
 		switch {
 		case err != nil:
-			admitErr(w, err)
+			WriteFailure(w, err, http.StatusBadRequest)
 		case r.URL.Query().Get("wait") == "":
 			WriteJSON(w, http.StatusAccepted, st)
 		default:
@@ -457,23 +457,11 @@ func (sw *Sweeps) Register(mux *http.ServeMux, admitErr func(http.ResponseWriter
 		id := r.PathValue("id")
 		st, err := sw.Lookup(id)
 		if err != nil {
-			WriteError(w, SweepLookupStatus(err), "sweep "+id+": "+err.Error())
+			WriteFailure(w, fmt.Errorf("sweep %s: %w", id, err), http.StatusInternalServerError)
 			return
 		}
 		WriteJSON(w, http.StatusOK, st)
 	})
-}
-
-// SweepLookupStatus converts the handle-store sentinels into HTTP statuses:
-// 410 for evicted, 404 for never issued.
-func SweepLookupStatus(err error) int {
-	switch {
-	case errors.Is(err, jobs.ErrGone):
-		return http.StatusGone
-	case errors.Is(err, jobs.ErrUnknown):
-		return http.StatusNotFound
-	}
-	return http.StatusInternalServerError
 }
 
 // localLegs runs a daemon's sweep legs as local jobs: Admit submits each

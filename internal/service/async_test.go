@@ -3,6 +3,8 @@ package service
 import (
 	"context"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -203,8 +205,10 @@ func TestSweepHandleEviction(t *testing.T) {
 	if _, err := s.Sweeps().Lookup("swp-1"); !errors.Is(err, jobs.ErrGone) {
 		t.Errorf("evicted handle: err = %v, want ErrGone", err)
 	}
-	if got := SweepLookupStatus(jobs.ErrGone); got != 410 {
-		t.Errorf("SweepLookupStatus(ErrGone) = %d, want 410", got)
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/sweeps/swp-1", nil))
+	if rec.Code != http.StatusGone {
+		t.Errorf("GET evicted handle = HTTP %d, want 410", rec.Code)
 	}
 	if _, err := s.Sweeps().Lookup("swp-2"); err != nil {
 		t.Errorf("retained handle: %v", err)

@@ -141,14 +141,95 @@ func New(addr string) *Client {
 type StatusError struct {
 	Code    int
 	Message string
-	// RetryAfter is the server's Retry-After hint (zero when absent). It is
-	// the retry-eligibility signal for backpressure statuses: a 429 (load
-	// shed) or 503 (queue full) carrying it invites one retry after the
-	// delay; a 503 without it (daemon draining) says to go elsewhere.
+	// Kind is the body's typed code, where one status means more than one
+	// thing (a 503 is "busy", "draining" or "no_shards"); empty otherwise.
+	Kind service.Code
+	// RetryAfter is the server's Retry-After hint (zero when absent): a 429
+	// or 503 carrying it invites a retry after the delay (see Classify).
 	RetryAfter time.Duration
 }
 
 func (e *StatusError) Error() string { return e.Message }
+
+// Wire implements service.Wired, so the router relays a shard's answer with
+// its status, code and Retry-After unchanged.
+func (e *StatusError) Wire() (int, service.Code, time.Duration) {
+	return e.Code, e.Kind, e.RetryAfter
+}
+
+// JobError is a job record that went terminal without a result, as an error.
+type JobError struct{ Job service.Job }
+
+func (e *JobError) Error() string { return "job failed: " + e.Job.Error }
+
+// ErrDeadline marks work whose own deadline budget ran out: refused before
+// dispatch, expired while queued or abandoned in flight. Nothing broke, and
+// a retry cannot un-spend the budget.
+var ErrDeadline = errors.New("deadline exceeded")
+
+// Failure is what one failed call means to each decision that follows it.
+// Classify is the only reader of failures: the client's retry loop and
+// polls, the router's failover, sweep-leg re-dispatch and degrade, and the
+// circuit breaker all decide from these fields.
+type Failure struct {
+	// Retryable: the work may succeed if sent again. Polls keep polling; a
+	// sweep leg re-dispatches, and degrades rather than fails once spent.
+	Retryable bool
+	// Transport: no server answered; the client resends with backoff.
+	Transport bool
+	// Wait: a 429/503's Retry-After; with a Budget the client resends after it.
+	Wait time.Duration
+	// IndictsShard: the address cannot take the work (unreachable or
+	// draining); the router excludes it and fails over.
+	IndictsShard bool
+	// BreakerFailure: the round trip counts against the address's breaker.
+	BreakerFailure bool
+}
+
+// Classify maps a transport error, a wire answer (a StatusError, or an
+// in-process service.Wired refusal) or a failed job record (JobError) to
+// its Failure. A nil error and ErrDeadline are no failure of anyone's.
+//
+//	failure                  Retryable  IndictsShard  BreakerFailure
+//	transport                yes        yes           yes
+//	400, 410                 -          -             -
+//	404 (job vanished)       yes        -             -
+//	429 shed                 yes        -             -
+//	500                      -          -             yes
+//	502                      yes        -             yes
+//	503 busy, no_shards      yes        -             yes
+//	503 draining             yes        yes           yes
+//	job failed: shutdown     yes        -             -
+//	job failed: otherwise    -          -             -
+//	deadline                 -          -             -
+func Classify(err error) Failure {
+	var wired service.Wired
+	var je *JobError
+	switch {
+	case err == nil, errors.Is(err, ErrDeadline):
+		return Failure{}
+	case errors.As(err, &je):
+		// A job the daemon dropped at shutdown never ran; any other failed
+		// record is the request's deterministic answer.
+		return Failure{Retryable: je.Job.Code == service.CodeShutdown}
+	case !errors.As(err, &wired):
+		return Failure{Retryable: true, Transport: true, IndictsShard: true, BreakerFailure: true}
+	}
+	status, code, after := wired.Wire()
+	switch status {
+	case http.StatusTooManyRequests:
+		return Failure{Retryable: true, Wait: after}
+	case http.StatusServiceUnavailable:
+		return Failure{Retryable: true, Wait: after, IndictsShard: code == service.CodeDraining, BreakerFailure: true}
+	case http.StatusNotFound:
+		return Failure{Retryable: true}
+	case http.StatusBadGateway:
+		return Failure{Retryable: true, BreakerFailure: true}
+	case http.StatusInternalServerError:
+		return Failure{BreakerFailure: true}
+	}
+	return Failure{}
+}
 
 // retryAfter parses a Retry-After response header (delta-seconds form; the
 // HTTP-date form is not used by this service's servers).
@@ -213,13 +294,14 @@ func (c *Client) request(ctx context.Context, method, path string, in []byte, co
 			cancel()
 		}()
 		var eb struct {
-			Error string `json:"error"`
+			Error string       `json:"error"`
+			Code  service.Code `json:"code"`
 		}
 		msg := fmt.Sprintf("watosd %s %s: HTTP %d", method, path, resp.StatusCode)
 		if json.NewDecoder(resp.Body).Decode(&eb) == nil && eb.Error != "" {
 			msg = fmt.Sprintf("watosd %s %s: %s (HTTP %d)", method, path, eb.Error, resp.StatusCode)
 		}
-		return nil, &StatusError{Code: resp.StatusCode, Message: msg, RetryAfter: retryAfter(resp)}
+		return nil, &StatusError{Code: resp.StatusCode, Message: msg, Kind: eb.Code, RetryAfter: retryAfter(resp)}
 	}
 	resp.Body = &cancelBody{ReadCloser: resp.Body, cancel: cancel}
 	return resp, nil
@@ -257,50 +339,47 @@ func jitter(d time.Duration) time.Duration {
 
 // openData runs one raw-body request with the bounded retry loop. Context
 // cancellation is always terminal — before the backoff sleep, and mid-sleep
-// if it fires then. Two failure classes retry:
+// if it fires then. Two Failure classes resend to the same address:
 //
-//   - transport-level failures, bounded by Retries, backing off exponentially
-//     with bounded jitter;
-//   - with a Budget set, backpressure answers — a 429 (admission shed) or 503
-//     (queue full) carrying Retry-After — after honoring the server's delay.
+//   - Transport failures, bounded by Retries, backing off exponentially with
+//     bounded jitter;
+//   - with a Budget set, backpressure answers (Failure.Wait: a 429 or 503
+//     carrying Retry-After), after honoring the server's delay.
 //
 // Every retry of either class draws a Budget token when a Budget is set; any
-// other HTTP status is the request's deterministic answer and never retried.
+// other HTTP status is the request's answer and never resent.
 func (c *Client) openData(ctx context.Context, method, path string, data []byte, contentType string) (*http.Response, error) {
 	delay := c.RetryDelay
 	if delay <= 0 {
 		delay = 50 * time.Millisecond
 	}
-	var lastErr error
 	for attempt := 0; ; attempt++ {
 		resp, err := c.request(ctx, method, path, data, contentType)
 		if err == nil {
 			c.Budget.success()
 			return resp, nil
 		}
-		lastErr = err
 		if ctx.Err() != nil {
-			return nil, lastErr
+			return nil, err
 		}
 		wait := delay + jitter(delay)
-		var se *StatusError
-		switch {
-		case errors.As(err, &se):
-			backpressure := se.RetryAfter > 0 &&
-				(se.Code == http.StatusTooManyRequests || se.Code == http.StatusServiceUnavailable)
-			if !backpressure || c.Budget == nil || !c.Budget.take() {
-				return nil, lastErr
+		switch f := Classify(err); {
+		case f.Wait > 0:
+			if c.Budget == nil || !c.Budget.take() {
+				return nil, err
 			}
-			wait = se.RetryAfter
-		default: // transport-level
+			wait = f.Wait
+		case f.Transport:
 			if attempt >= c.Retries || !c.Budget.take() {
-				return nil, lastErr
+				return nil, err
 			}
 			delay *= 2
+		default:
+			return nil, err
 		}
 		select {
 		case <-ctx.Done():
-			return nil, lastErr
+			return nil, err
 		case <-time.After(wait):
 		}
 	}
@@ -370,39 +449,17 @@ func (c *Client) SweepStatus(ctx context.Context, id string) (service.SweepStatu
 // leg as the poll first observes it terminal (in sweep order within a
 // poll) — the hook consuming partial Table II rows while the tail runs.
 func (c *Client) WaitSweep(ctx context.Context, id string, onLeg func(service.SweepLeg)) (service.SweepStatus, error) {
-	interval := c.PollInterval
-	if interval <= 0 {
-		interval = 50 * time.Millisecond
-	}
 	seen := make(map[int]bool)
-	failures := 0
-	for {
-		st, err := c.SweepStatus(ctx, id)
-		if err != nil {
-			failures++
-			if failures > waitRetries || ctx.Err() != nil {
-				return st, err
-			}
-		} else {
-			failures = 0
-			if onLeg != nil {
-				for i, leg := range st.Legs {
-					if leg.State.Terminal() && !seen[i] {
-						seen[i] = true
-						onLeg(leg)
-					}
+	return poll(ctx, c.PollInterval, func() (service.SweepStatus, error) { return c.SweepStatus(ctx, id) },
+		func(st service.SweepStatus) bool {
+			for i, leg := range st.Legs {
+				if onLeg != nil && leg.State.Terminal() && !seen[i] {
+					seen[i] = true
+					onLeg(leg)
 				}
 			}
-			if st.State.Terminal() {
-				return st, nil
-			}
-		}
-		select {
-		case <-ctx.Done():
-			return st, ctx.Err()
-		case <-time.After(interval):
-		}
-	}
+			return st.State.Terminal()
+		})
 }
 
 // Sweep scatters a sweep request into per-architecture jobs (across shards
@@ -435,38 +492,43 @@ func (c *Client) Jobs(ctx context.Context) ([]service.Summary, error) {
 	return out, err
 }
 
-// waitRetries bounds consecutive failed status polls before Wait gives up.
-// A long search keeps running server-side whatever the poll transport does,
-// so one reset connection must not cost the caller the whole result.
+// waitRetries bounds consecutive retryable poll failures. A long search
+// keeps running server-side whatever the poll transport does, so one reset
+// connection must not cost the caller the whole result.
 const waitRetries = 5
 
-// Wait polls until the job reaches a terminal state and returns it,
-// tolerating up to waitRetries consecutive transient poll failures.
-func (c *Client) Wait(ctx context.Context, id string) (service.Job, error) {
-	interval := c.PollInterval
+// poll fetches every interval (default 50ms) until done accepts the answer.
+// A failed fetch Classify calls retryable is tolerated up to waitRetries
+// times in a row; a deterministic answer (400, 410, 500) ends the wait at
+// once.
+func poll[T any](ctx context.Context, interval time.Duration, fetch func() (T, error), done func(T) bool) (T, error) {
 	if interval <= 0 {
 		interval = 50 * time.Millisecond
 	}
 	failures := 0
 	for {
-		j, err := c.Job(ctx, id)
+		v, err := fetch()
 		if err != nil {
 			failures++
-			if failures > waitRetries || ctx.Err() != nil {
-				return j, err
+			if failures > waitRetries || ctx.Err() != nil || !Classify(err).Retryable {
+				return v, err
 			}
-		} else {
-			failures = 0
-			if j.State.Terminal() {
-				return j, nil
-			}
+		} else if failures = 0; done(v) {
+			return v, nil
 		}
 		select {
 		case <-ctx.Done():
-			return j, ctx.Err()
+			return v, ctx.Err()
 		case <-time.After(interval):
 		}
 	}
+}
+
+// Wait polls until the job reaches a terminal state and returns it (see
+// poll for which failures it rides out).
+func (c *Client) Wait(ctx context.Context, id string) (service.Job, error) {
+	return poll(ctx, c.PollInterval, func() (service.Job, error) { return c.Job(ctx, id) },
+		func(j service.Job) bool { return j.State.Terminal() })
 }
 
 // Run submits a job and waits for its terminal state — the remote

@@ -6,13 +6,16 @@ import (
 	"net/http"
 	"strconv"
 	"time"
+
+	"repro/internal/jobs"
 )
 
 // API surface (all JSON):
 //
 //	POST /v1/jobs       submit a Request; 202 + Job when queued, 200 + Job
 //	                    when coalesced onto an identical in-flight job,
-//	                    400 on a bad request, 503 when the backlog is full
+//	                    400 on a bad request, 429 "shed", 503 "busy" or
+//	                    "draining" (error bodies: {"error", "code"})
 //	GET  /v1/jobs       list job summaries in submission order
 //	GET  /v1/jobs/{id}  one job, including its Result when done; 410 once
 //	                    the record has been evicted from history
@@ -41,7 +44,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	mux.HandleFunc("GET /v1/jobs", s.handleList)
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
-	s.sweeps.Register(mux, WriteSubmitError)
+	s.sweeps.Register(mux)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.HandleFunc("GET /v1/trace", s.handleTrace)
 	mux.HandleFunc("POST /v1/snapshot", s.handleSnapshot)
@@ -52,8 +55,45 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// Code is the typed failure code of an error body or a failed job record.
+// A code exists only where one HTTP status means more than one thing; an
+// untyped 400, 404, 410 or 500 carries none and its body is unchanged.
+type Code string
+
+const (
+	CodeShed     Code = "shed"      // 429: admission control refused; retry after Retry-After
+	CodeBusy     Code = "busy"      // 503: backlog full or idle gate shut; retry after Retry-After
+	CodeDraining Code = "draining"  // 503, no Retry-After: leaving the fleet; go elsewhere
+	CodeNoShards Code = "no_shards" // 503: the router has no shard admitting work
+	CodeShutdown Code = "shutdown"  // failed job record: the daemon shut down before it ran
+)
+
+// Wired is an error that carries its own wire answer: HTTP status, code and
+// Retry-After hint (zero for none). The daemon's and the router's refusals
+// implement it, and so does a shard's answer as the client decoded it, which
+// is how the router relays that answer unchanged.
+type Wired interface {
+	error
+	Wire() (status int, code Code, retryAfter time.Duration)
+}
+
+// WireError is a refusal with a fixed wire answer (ErrBusy, ErrDraining, the
+// router's no-shards sentinel).
+type WireError struct {
+	Status     int
+	Code       Code
+	RetryAfter time.Duration
+	Msg        string
+}
+
+func (e *WireError) Error() string { return e.Msg }
+
+// Wire implements Wired.
+func (e *WireError) Wire() (int, Code, time.Duration) { return e.Status, e.Code, e.RetryAfter }
+
 type errorBody struct {
 	Error string `json:"error"`
+	Code  Code   `json:"code,omitempty"`
 }
 
 // WriteJSON answers with status and v as a JSON body. Both tiers (daemon
@@ -71,43 +111,31 @@ func WriteError(w http.ResponseWriter, status int, msg string) {
 	WriteJSON(w, status, errorBody{Error: msg})
 }
 
+// WriteFailure is the one place an error becomes an HTTP answer, on both
+// tiers: a Wired error answers with its own status, code and Retry-After
+// (whole seconds, rounded up); the handle store's sentinels answer 410 and
+// 404; anything else answers fallback with an untyped body.
+func WriteFailure(w http.ResponseWriter, err error, fallback int) {
+	status, code, after := fallback, Code(""), time.Duration(0)
+	var wired Wired
+	switch {
+	case errors.As(err, &wired):
+		status, code, after = wired.Wire()
+	case errors.Is(err, jobs.ErrGone):
+		status = http.StatusGone
+	case errors.Is(err, jobs.ErrUnknown):
+		status = http.StatusNotFound
+	}
+	if after > 0 {
+		w.Header().Set("Retry-After", strconv.FormatInt(int64((after+time.Second-1)/time.Second), 10))
+	}
+	WriteJSON(w, status, errorBody{Error: err.Error(), Code: code})
+}
+
 // MaxRequestBytes bounds a job-submission body; a Request is a handful of
 // short fields, so anything near the bound is garbage and a streaming
 // client cannot pin handler memory.
 const MaxRequestBytes = 1 << 20
-
-// SetRetryAfter stamps the standard backoff hint (whole seconds, rounded
-// up, minimum 1 — zero reads as "immediately").
-func SetRetryAfter(w http.ResponseWriter, d time.Duration) {
-	secs := int64((d + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-}
-
-// WriteSubmitError renders a submission error with the overload-protection
-// status split both daemons share: shedding is 429 + Retry-After (the class
-// budget or the request's own deadline refused it — back off and retry),
-// plain backpressure and draining are 503 (a full backlog also carries
-// Retry-After since it clears as the queue drains; draining does not — this
-// daemon is leaving and retries belong elsewhere), anything else is the
-// caller's 400.
-func WriteSubmitError(w http.ResponseWriter, err error) {
-	var shed *ShedError
-	switch {
-	case errors.As(err, &shed):
-		SetRetryAfter(w, shed.RetryAfter)
-		WriteError(w, http.StatusTooManyRequests, err.Error())
-	case errors.Is(err, ErrBusy):
-		SetRetryAfter(w, time.Second)
-		WriteError(w, http.StatusServiceUnavailable, err.Error())
-	case errors.Is(err, ErrDraining):
-		WriteError(w, http.StatusServiceUnavailable, err.Error())
-	default:
-		WriteError(w, http.StatusBadRequest, err.Error())
-	}
-}
 
 // DecodeRequest reads a Request body for a handler, answering 400 itself
 // (and reporting false) when the body is not one.
@@ -131,7 +159,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	j, coalesced, err := s.Submit(req)
 	switch {
 	case err != nil:
-		WriteSubmitError(w, err)
+		WriteFailure(w, err, http.StatusBadRequest)
 	case coalesced:
 		WriteJSON(w, http.StatusOK, j)
 	default:

@@ -34,6 +34,7 @@ package service
 import (
 	"errors"
 	"fmt"
+	"net/http"
 	"strconv"
 	"strings"
 	"sync"
@@ -132,8 +133,16 @@ func (r Request) Normalize() (Request, error) {
 	if _, ok := pool.ParseClass(r.Priority); !ok {
 		return r, fmt.Errorf("unknown priority %q (want interactive, sweep-leg, background or prefetch)", r.Priority)
 	}
-	if r.DeadlineMS < 0 {
-		return r, fmt.Errorf("negative deadline_ms %d", r.DeadlineMS)
+	// A negative parallelism field would run as the default yet fingerprint
+	// apart from it, defeating dedup, the result cache and routing.
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{{"deadline_ms", r.DeadlineMS}, {"max_tp", int64(r.MaxTP)}, {"fixed_tp", int64(r.FixedTP)},
+		{"fixed_pp", int64(r.FixedPP)}, {"pipeline_wafers", int64(r.PipelineWafers)}} {
+		if f.v < 0 {
+			return r, fmt.Errorf("negative %s %d", f.name, f.v)
+		}
 	}
 	return r, nil
 }
@@ -256,6 +265,9 @@ type Job struct {
 	FinishedAt time.Time `json:"finished_at,omitempty"`
 	Result     *Result   `json:"result,omitempty"`
 	Error      string    `json:"error,omitempty"`
+	// Code types a failure whose retry story the state alone does not tell
+	// (CodeShutdown: the job never ran).
+	Code Code `json:"code,omitempty"`
 }
 
 // Summary is the listing form of a job (no result payload).
@@ -420,13 +432,17 @@ type Options struct {
 	TraceCapacity int
 }
 
-// ErrBusy reports a submission rejected because the job backlog is full.
-var ErrBusy = errors.New("service: job backlog full")
+// ErrBusy reports a submission rejected because the job backlog is full:
+// 503 "busy", retry after a second.
+var ErrBusy error = &WireError{Status: http.StatusServiceUnavailable, Code: CodeBusy,
+	RetryAfter: time.Second, Msg: "service: job backlog full"}
 
 // ErrDraining reports a submission rejected because the daemon is draining:
 // it is finishing in-flight work ahead of shutdown or fleet removal and must
-// not take on jobs whose results nobody would route a poll to.
-var ErrDraining = errors.New("service: daemon is draining")
+// not take on jobs whose results nobody would route a poll to. 503
+// "draining", no Retry-After: retries belong elsewhere.
+var ErrDraining error = &WireError{Status: http.StatusServiceUnavailable, Code: CodeDraining,
+	Msg: "service: daemon is draining"}
 
 // ShedError reports a submission refused by overload protection — the class
 // backlog budget is exhausted, or the estimated queue wait already exceeds
@@ -440,6 +456,11 @@ type ShedError struct {
 
 func (e *ShedError) Error() string {
 	return fmt.Sprintf("service: %s (retry after %s)", e.Reason, e.RetryAfter.Round(time.Millisecond))
+}
+
+// Wire implements Wired: 429 "shed", and a shed always invites a retry.
+func (e *ShedError) Wire() (int, Code, time.Duration) {
+	return http.StatusTooManyRequests, CodeShed, max(e.RetryAfter, time.Second)
 }
 
 // retryAfterHint turns an estimated queue wait into a usable Retry-After:
@@ -1048,7 +1069,7 @@ func (s *Server) Close() error {
 			j.expireTimer = nil
 		}
 		j.State = StateFailed
-		j.Error = "service: daemon shut down before the job ran"
+		j.Error, j.Code = "service: daemon shut down before the job ran", CodeShutdown
 		j.FinishedAt = now
 		delete(s.inflight, j.Fingerprint)
 		close(j.done)

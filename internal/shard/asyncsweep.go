@@ -3,10 +3,10 @@ package shard
 import (
 	"context"
 	"errors"
-	"net/http"
 	"time"
 
 	"repro/internal/service"
+	"repro/internal/service/client"
 )
 
 // Routed sweeps run on the one orchestrator the daemon uses
@@ -55,8 +55,9 @@ func (l routedLegs) Admit(part service.Request) (service.SweepLeg, error) {
 //     absorbed: the leg folds in Degraded, served from the fleet result
 //     cache when a prior terminal result exists, as a marker row otherwise,
 //     and the sweep still answers with every row it could gather;
-//   - only a deterministic execution failure fails the sweep (the
-//     infeasible-architecture contract is unchanged).
+//   - a deterministic failure (a job that ran and failed, a 400) fails the
+//     sweep, exactly as on a single daemon (the infeasible-architecture
+//     contract).
 func (l routedLegs) Finish(part service.Request, _ service.SweepLeg, deadline time.Time) service.SweepLeg {
 	r := l.r
 	res, ref, err := r.runLeg(context.Background(), part, deadline)
@@ -73,7 +74,7 @@ func (l routedLegs) Finish(part service.Request, _ service.SweepLeg, deadline ti
 	case errors.Is(err, errLegDeadline):
 		leg.State = service.StateExpired
 		leg.Error = err.Error()
-	case legRetryable(err):
+	case client.Classify(err).Retryable:
 		// The replica set is exhausted, not wrong: absorb the leg instead of
 		// failing the gathered rows of every healthy shard.
 		leg.Degraded = true
@@ -93,14 +94,4 @@ func (l routedLegs) Finish(part service.Request, _ service.SweepLeg, deadline ti
 		leg.Error = err.Error()
 	}
 	return leg
-}
-
-// writeSweepAdmitError maps a refused routed sweep: an empty fleet is 503,
-// anything else renders as the daemons' submission errors do.
-func writeSweepAdmitError(w http.ResponseWriter, err error) {
-	if errors.Is(err, ErrNoShards) {
-		service.WriteError(w, http.StatusServiceUnavailable, err.Error())
-		return
-	}
-	service.WriteSubmitError(w, err)
 }

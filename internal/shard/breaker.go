@@ -1,8 +1,6 @@
 package shard
 
 import (
-	"errors"
-	"net/http"
 	"sort"
 	"sync"
 	"time"
@@ -133,25 +131,6 @@ func newBreaker(o BreakerOptions) *Breaker {
 	return &Breaker{opts: o, window: make([]breakerSample, o.Window)}
 }
 
-// breakerFailure classifies a client-call error for the breaker: transport
-// failures and server-side 5xx (500/502/503) count; deliberate per-request
-// answers (4xx — including 429 shedding, which is admission control doing its
-// job, not the shard failing) do not.
-func breakerFailure(err error) bool {
-	if err == nil {
-		return false
-	}
-	var se *client.StatusError
-	if errors.As(err, &se) {
-		switch se.Code {
-		case http.StatusInternalServerError, http.StatusBadGateway, http.StatusServiceUnavailable:
-			return true
-		}
-		return false
-	}
-	return true // transport-level
-}
-
 // Allow reports whether a request may be sent through the breaker, consuming
 // the single half-open trial slot when the cooldown has elapsed. Callers that
 // only want to filter without claiming the trial use Routable.
@@ -200,16 +179,17 @@ func (b *Breaker) Routable() bool {
 }
 
 // Observe records one bounded round-trip: its latency and whether it failed
-// (per breakerFailure).
+// (client.Classify's BreakerFailure: transport failures and 500/502/503 count;
+// a 4xx, a 429 shed included, is admission control doing its job).
 func (b *Breaker) Observe(d time.Duration, err error) {
-	b.record(breakerSample{lat: d, hasLat: true, fail: breakerFailure(err)}, err)
+	b.record(breakerSample{lat: d, hasLat: true, fail: client.Classify(err).BreakerFailure}, err)
 }
 
 // ObserveOutcome records a success/failure whose duration is not a transport
 // round-trip (e.g. Wait, which tracks job runtime): it feeds the error-rate
 // signal but not the latency window.
 func (b *Breaker) ObserveOutcome(err error) {
-	b.record(breakerSample{fail: breakerFailure(err)}, err)
+	b.record(breakerSample{fail: client.Classify(err).BreakerFailure}, err)
 }
 
 func (b *Breaker) record(s breakerSample, err error) {

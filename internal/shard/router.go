@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -150,50 +149,13 @@ func (r *Router) count(fn func(*RouterCounters)) {
 	r.mu.Unlock()
 }
 
-// connectionError reports whether a forwarding error is transport-level
-// (shard unreachable) rather than an HTTP status from a live shard.
-func connectionError(err error) bool {
-	var se *client.StatusError
-	return err != nil && !errors.As(err, &se)
-}
-
-// forwardStatus maps a forwarding error onto the router's response: shard
-// HTTP statuses pass through, transport failures surface as 502.
-func forwardStatus(err error) int {
-	var se *client.StatusError
-	if errors.As(err, &se) {
-		return se.Code
-	}
-	return http.StatusBadGateway
-}
-
-// relayRetryAfter copies a shard's Retry-After hint through the router, so a
-// shed (429) or backpressure (503) answer keeps its retry-eligibility signal
-// across the tier. Must run before the status line is written.
-func relayRetryAfter(w http.ResponseWriter, err error) {
-	var se *client.StatusError
-	if errors.As(err, &se) && se.RetryAfter > 0 {
-		w.Header().Set("Retry-After", strconv.FormatInt(int64((se.RetryAfter+time.Second-1)/time.Second), 10))
-	}
-}
-
-// drainingAnswer reports a 503 from a daemon that is draining out of the
-// fleet (service.ErrDraining rendered over HTTP). Distinct from a busy 503:
-// a full backlog clears, but a draining shard never takes the work — its
-// replica chain is the answer.
-func drainingAnswer(err error) bool {
-	var se *client.StatusError
-	return errors.As(err, &se) && se.Code == http.StatusServiceUnavailable &&
-		strings.Contains(se.Message, "draining")
-}
-
 // Handler returns the router's HTTP API.
 func (r *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", r.handleSubmit)
 	mux.HandleFunc("GET /v1/jobs", r.handleList)
 	mux.HandleFunc("GET /v1/jobs/{id...}", r.handleJob)
-	r.sweeps.Register(mux, writeSweepAdmitError)
+	r.sweeps.Register(mux)
 	mux.HandleFunc("GET /v1/stats", r.handleStats)
 	mux.HandleFunc("GET /v1/trace", r.handleTrace)
 	mux.HandleFunc("GET /v1/shards", r.handleShards)
@@ -276,19 +238,13 @@ func (r *Router) submitRouted(ctx context.Context, req service.Request, deadline
 				return j, b, coalesced, nil
 			}
 			r.count(func(c *RouterCounters) { c.RouteErrors++ })
-			if !connectionError(err) {
-				if drainingAnswer(err) {
-					// A draining daemon is leaving the fleet: its refusal is a
-					// routing fact, not the request's answer — exclude it and
-					// walk the chain, exactly as the drain flow is about to.
-					lastErr = err
-					b.MarkFailed(err)
-					continue
-				}
-				// A live shard answered with an HTTP status: that is the
-				// request's answer, not a reason to try its replica.
+			if !client.Classify(err).IndictsShard {
+				// A live shard answered: that is the request's answer, not a
+				// reason to try its replica.
 				return service.Job{}, b, false, err
 			}
+			// Unreachable, or draining out of the fleet: exclude it and walk
+			// the chain, exactly as the drain flow is about to.
 			lastErr = err
 			b.MarkFailed(err)
 		}
@@ -328,19 +284,12 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	if err == nil {
 		r.maybePrefetch(norm, fp)
 	}
-	var shed *service.ShedError
 	switch {
-	case errors.Is(err, ErrNoShards):
-		service.WriteError(w, http.StatusServiceUnavailable, err.Error())
-	case errors.As(err, &shed):
-		// Router-side shed (deadline budget spent walking the chain): same
-		// 429 contract the shards answer with.
-		service.WriteSubmitError(w, err)
 	case err != nil:
-		// A shard's own answer passes through with its Retry-After hint
-		// intact, so end-client retry budgets see the same signal either way.
-		relayRetryAfter(w, err)
-		service.WriteError(w, forwardStatus(err), err.Error())
+		// The router's own refusal (no shards, deadline spent walking the
+		// chain) and a shard's answer relayed with its status, code and
+		// Retry-After render alike; an unreachable chain is a 502.
+		service.WriteFailure(w, err, http.StatusBadGateway)
 	case coalesced:
 		service.WriteJSON(w, http.StatusOK, j)
 	default:
@@ -397,10 +346,10 @@ func (r *Router) handleJob(w http.ResponseWriter, req *http.Request) {
 	j, err := b.Client.Job(req.Context(), rest)
 	b.breaker.Observe(time.Since(start), err)
 	if err != nil {
-		if connectionError(err) {
+		if client.Classify(err).IndictsShard {
 			b.MarkFailed(err)
 		}
-		service.WriteError(w, forwardStatus(err), err.Error())
+		service.WriteFailure(w, err, http.StatusBadGateway)
 		return
 	}
 	if j.State == service.StateDone && j.Result != nil {
@@ -417,7 +366,7 @@ func (r *Router) handleList(w http.ResponseWriter, req *http.Request) {
 	for _, b := range r.Map.Healthy() {
 		sums, err := b.Client.Jobs(req.Context())
 		if err != nil {
-			if connectionError(err) {
+			if client.Classify(err).IndictsShard {
 				b.MarkFailed(err)
 			}
 			continue
@@ -430,49 +379,26 @@ func (r *Router) handleList(w http.ResponseWriter, req *http.Request) {
 	service.WriteJSON(w, http.StatusOK, out)
 }
 
-// legRetryable classifies a sweep-leg failure. Transport failures and the
-// failure modes a shard crash, restart, drain or overload produces — the job
-// vanished (404), the daemon refused it (503), a bad gateway in a chained
-// tier (502), an admission shed (429: replica queues differ, so another
-// replica or a later walk may admit) — are retryable: results are canonical
-// and deterministic, so re-running the leg on a surviving replica is
-// byte-identical to the lost original. Any other HTTP status is a
-// deterministic answer and re-dispatching would only repeat it.
-func legRetryable(err error) bool {
-	if connectionError(err) {
-		return true
-	}
-	var se *client.StatusError
-	if errors.As(err, &se) {
-		switch se.Code {
-		case http.StatusNotFound, http.StatusBadGateway,
-			http.StatusServiceUnavailable, http.StatusTooManyRequests:
-			return true
-		}
-	}
-	return false
-}
-
 // errLegDeadline marks a sweep leg whose deadline budget ran out — while
 // queued at the router or abandoned in flight. Distinct from failure: the
 // work was refused or walked away from, not attempted and broken.
-var errLegDeadline = errors.New("sweep leg deadline exceeded")
+var errLegDeadline = fmt.Errorf("sweep leg %w", client.ErrDeadline)
 
-// tryLeg runs one dispatch+wait attempt of a sweep leg and reports whether
-// a failure is worth re-dispatching. A non-zero deadline bounds the whole
-// attempt: an exhausted budget surfaces as errLegDeadline — the in-flight
-// job is abandoned (the shard finishes it and warms the caches; the sweep
-// walks away), never retried.
-func (r *Router) tryLeg(ctx context.Context, part service.Request, deadline time.Time) (*service.Result, service.SweepJobRef, bool, error) {
+// tryLeg runs one dispatch+wait attempt of a sweep leg; client.Classify says
+// whether a failure is worth re-dispatching. A non-zero deadline bounds the
+// whole attempt: an exhausted budget surfaces as errLegDeadline — the
+// in-flight job is abandoned (the shard finishes it and warms the caches;
+// the sweep walks away), never retried.
+func (r *Router) tryLeg(ctx context.Context, part service.Request, deadline time.Time) (*service.Result, service.SweepJobRef, error) {
 	j, b, coalesced, err := r.submitRouted(ctx, part, deadline)
 	if err != nil {
 		var shed *service.ShedError
 		if errors.As(err, &shed) && !deadline.IsZero() && !time.Now().Before(deadline) {
 			// The router's own admission check spent the budget: expired, not
 			// failed, and retrying cannot un-spend it.
-			return nil, service.SweepJobRef{}, false, fmt.Errorf("%w: %v", errLegDeadline, err)
+			return nil, service.SweepJobRef{}, fmt.Errorf("%w: %v", errLegDeadline, err)
 		}
-		return nil, service.SweepJobRef{}, legRetryable(err), err
+		return nil, service.SweepJobRef{}, err
 	}
 	ref := service.SweepJobRef{
 		Config:      part.Config,
@@ -491,28 +417,25 @@ func (r *Router) tryLeg(ctx context.Context, part service.Request, deadline time
 		if waitCtx.Err() != nil && ctx.Err() == nil && !deadline.IsZero() {
 			// The leg's own deadline fired mid-flight (not the caller's
 			// context, not the shard): abandon the job where it runs.
-			return nil, ref, false, fmt.Errorf("%w: job %s abandoned in flight", errLegDeadline, j.ID)
+			return nil, ref, fmt.Errorf("%w: job %s abandoned in flight", errLegDeadline, j.ID)
 		}
-		// Only a transport failure with the caller's context still live
-		// indicts the shard; our own per-leg deadline firing does not.
-		if connectionError(err) && ctx.Err() == nil {
+		// Only an indicting failure with the caller's context still live
+		// counts against the shard; our own per-leg deadline firing does not.
+		if client.Classify(err).IndictsShard && ctx.Err() == nil {
 			b.MarkFailed(err)
 			b.breaker.ObserveOutcome(err)
 		}
-		return nil, ref, legRetryable(err), err
+		return nil, ref, err
 	}
 	b.breaker.ObserveOutcome(nil)
-	if done.State != service.StateDone {
-		if done.State == service.StateExpired {
-			// The shard's own admission timer expired the job while queued.
-			return nil, ref, false, fmt.Errorf("%w on shard %s: %s", errLegDeadline, b.Name, done.Error)
-		}
-		// A daemon shutting down marks its unstarted backlog failed with a
-		// distinctive error; that work never ran and re-dispatches safely.
-		retry := strings.Contains(done.Error, "daemon shut down")
-		return nil, ref, retry, fmt.Errorf("job failed: %s", done.Error)
+	switch done.State {
+	case service.StateDone:
+		return done.Result, ref, nil
+	case service.StateExpired:
+		// The shard's own admission timer expired the job while queued.
+		return nil, ref, fmt.Errorf("%w on shard %s: %s", errLegDeadline, b.Name, done.Error)
 	}
-	return done.Result, ref, false, nil
+	return nil, ref, &client.JobError{Job: done}
 }
 
 // runLeg drives one sweep leg to completion through shard churn: bounded
@@ -536,13 +459,13 @@ func (r *Router) runLeg(ctx context.Context, part service.Request, deadline time
 		if r.LegTimeout > 0 {
 			legCtx, cancel = context.WithTimeout(ctx, r.LegTimeout)
 		}
-		res, ref, retryable, err := r.tryLeg(legCtx, part, deadline)
+		res, ref, err := r.tryLeg(legCtx, part, deadline)
 		cancel()
 		if err == nil {
 			return res, ref, nil
 		}
 		lastErr, lastRef = err, ref
-		if !retryable || ctx.Err() != nil {
+		if !client.Classify(err).Retryable || ctx.Err() != nil {
 			break
 		}
 		if !deadline.IsZero() && !time.Now().Before(deadline) {
@@ -583,7 +506,7 @@ func (r *Router) Stats(ctx context.Context) RouterStats {
 			// this snapshot: flip its status line so the Healthy flags,
 			// HealthyShards (derived from them below) and the aggregate
 			// sums (which skip it) stay consistent.
-			if connectionError(err) {
+			if client.Classify(err).IndictsShard {
 				b.MarkFailed(err)
 				st.Healthy = false
 			}

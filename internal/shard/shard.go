@@ -17,6 +17,7 @@ package shard
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"sync"
 	"time"
 
@@ -286,7 +287,8 @@ func (m *Map) Healthy() []*Backend {
 }
 
 // ErrNoShards reports routing with every shard excluded.
-var ErrNoShards = fmt.Errorf("shard: no healthy shards")
+var ErrNoShards error = &service.WireError{Status: http.StatusServiceUnavailable, Code: service.CodeNoShards,
+	Msg: "shard: no healthy shards"}
 
 // Pick routes a canonical request fingerprint to its owning healthy shard:
 // the head of its replica chain (see PickReplicas). The assignment is

@@ -2,10 +2,11 @@
 # Overload smoke: real watosd / watos-router processes under deliberate
 # overload and brownout —
 #   1. a single-worker daemon under a background burst sheds over-budget
-#      submissions with HTTP 429 + Retry-After, an interactive job submitted
-#      behind the burst overtakes it and finishes inside its deadline, and a
-#      queued background job whose deadline lapses is cancelled without
-#      executing (state deadline_exceeded, never failed),
+#      submissions with HTTP 429 + Retry-After and body code "shed", an
+#      interactive job submitted behind the burst overtakes it and finishes
+#      inside its deadline, and a queued background job whose deadline
+#      lapses is cancelled without executing (state deadline_exceeded, never
+#      failed),
 #   2. a slow-but-alive shard (fault-injected request stalls; healthz stays
 #      green) trips the router's latency breaker and leaves routing while
 #      still probe-healthy, routed work keeps completing byte-identically on
@@ -73,6 +74,11 @@ for i in $(seq 0 7); do
       RA=$(echo "$OUT" | awk '{print $2}')
       if [ -z "$RA" ] || [ "$RA" -lt 1 ]; then
         echo "429 without a usable Retry-After: $OUT" >&2
+        exit 1
+      fi
+      KIND=$(python3 -c "import json; print(json.load(open('$WORK/submit-body.json')).get('code', ''))")
+      if [ "$KIND" != shed ]; then
+        echo "429 body code is '$KIND', want 'shed': $OUT" >&2
         exit 1
       fi
       SHED=$((SHED + 1))
