@@ -19,25 +19,26 @@ race:
 # which fails the run if protection does not win both — the trace-replay
 # prefetch pair (warm-hit rate + mean demand latency with the speculative
 # lane on vs off, failing the run unless prefetch wins the hit rate) —
-# plus the speedups vs the recorded PR-1..PR-9 baselines, the in-run
-# PR3-era annealer full-re-evaluation baseline, and the in-run scalar
-# reference of the speculative batched annealer).
+# plus the speedups vs the recorded PR-1..PR-9 baselines and the in-run
+# PR3-era annealer full-re-evaluation baseline).
 bench:
 	go run ./cmd/bench -out BENCH_pr10.json
 
 # Fast regression gate for the search inner loops: the zero-alloc
-# assertions of the scalar annealer swap path and the annealer's
-# ScorerBatch propose/EvaluateOne/commit cycle and the GCMR allocation
-# bound (the benchmarks only report allocs, they don't fail on them) plus
-# one iteration of each annealer/batch/placement/GA and GCMR/BuildOptions
-# benchmark, and 10 s of fuzzing GCMR
-# against its unpruned reference, so a broken or allocating hot path fails
-# in seconds without waiting for the full bench run.
+# assertions of the scalar annealer swap path, the annealer's
+# ScorerBatch Eval/Commit cycle and the GCMR allocation bound (the
+# benchmarks only report allocs, they don't fail on them) plus one
+# iteration of each annealer/swap-kernel/placement/GA and GCMR/BuildOptions
+# benchmark, and 10 s each of fuzzing GCMR against its unpruned reference
+# and the swap kernel against the scalar SwapDelta, so a broken or
+# allocating hot path fails in seconds without waiting for the full bench
+# run.
 bench-smoke:
 	go test -run 'TestScorerSwapZeroAlloc|TestScorerBatchZeroAlloc' -count=1 ./internal/placement
 	go test -run '^$$' -bench 'BenchmarkAnnealSwap$$|BenchmarkAnnealSwapBatch|BenchmarkOptimizePlacement|BenchmarkGAGeneration' -benchtime=1x -benchmem .
 	go test -run 'TestGCMRAllocs' -bench 'BenchmarkGCMR|BenchmarkBuildOptions' -benchtime=1x -benchmem -count=1 ./internal/recompute
 	go test -run '^$$' -fuzz FuzzGCMR -fuzztime 10s ./internal/recompute
+	go test -run '^$$' -fuzz FuzzScorerBatchEval -fuzztime 10s ./internal/placement
 
 # Compare two recorded perf trajectories (ns/op + allocs/op ratios, with a
 # regression threshold). Usage:

@@ -22,12 +22,7 @@
 // against the PR3-era full re-evaluation measured in the same run (tagged
 // pr3-full-reeval in the baselines list), and a testing.AllocsPerRun guard
 // fails the run outright if the incremental inner loop ever allocates. The
-// batched evaluator (placement.ScorerBatch) is measured per candidate as
-// anneal-swap-batch8/-batch32 next to the scalar per-iteration numbers,
-// under the same zero-allocation guard, and the end-to-end annealing
-// searches record the speculative default against an in-run scalar
-// reference (optimize-placement-pp32-scalar, window 1) so the batching
-// speedup is measured on the same machine in the same process.
+// end-to-end annealing searches (optimize-placement-*) time placement.Optimize.
 //
 // Each timed loop is repeated -reps times and the best repetition is
 // recorded: the CI-class container is single-CPU and run-to-run noise
@@ -1065,6 +1060,29 @@ func main() {
 		inc := run(cfg.name, swap)
 		rep.Benchmarks = append(rep.Benchmarks, inc)
 
+		// The annealer's mask kernel carries the same contract on this
+		// substrate: one Eval per run, plus a Commit on one draw in four.
+		kAnchors, kWL, err := benchutil.AnnealSubstrate(cfg.mesh, 1, cfg.pp, cfg.np)
+		fail(err)
+		kernel := placement.NewScorerBatch(placement.NewScorer(cfg.mesh, kAnchors, kWL))
+		krng := rand.New(rand.NewSource(1))
+		kcycle := func() {
+			x, y := krng.Intn(cfg.pp), krng.Intn(cfg.pp)
+			for x == y {
+				y = krng.Intn(cfg.pp)
+			}
+			kernel.Eval(x, y)
+			if krng.Intn(4) == 0 {
+				kernel.Commit(x, y)
+			}
+		}
+		for i := 0; i < 20000; i++ {
+			kcycle()
+		}
+		if allocs := testing.AllocsPerRun(5000, kcycle); allocs != 0 {
+			fail(fmt.Errorf("%s: annealer kernel Eval/Commit allocates %.2f objects/op, want 0", cfg.name, allocs))
+		}
+
 		refAnchors, refWL, err := benchutil.AnnealSubstrate(cfg.mesh, 1, cfg.pp, cfg.np)
 		fail(err)
 		full := run(cfg.name+"-full-reeval",
@@ -1072,43 +1090,17 @@ func main() {
 		full.Name = cfg.name
 		rep.Baselines = append(rep.Baselines, taggedEntry{Tag: "pr3-full-reeval", entry: full})
 		rep.SpeedupNs["pr3-full-reeval("+cfg.name+")"] = full.NsPerOp / inc.NsPerOp
-
-		// Batched candidate evaluation on the same substrate and Scorer:
-		// one speculative K-wide pass per cycle, recorded per candidate so
-		// the numbers sit next to the scalar per-iteration cost. The batch
-		// inner loop carries the same zero-allocation contract.
-		for _, k := range []int{8, 32} {
-			batch := placement.NewScorerBatch(sc, k)
-			bcycle := benchutil.AnnealBatchCycle(batch, cfg.pp, k, rand.New(rand.NewSource(1)))
-			for i := 0; i < 2000; i++ {
-				bcycle()
-			}
-			if allocs := testing.AllocsPerRun(2000, bcycle); allocs != 0 {
-				fail(fmt.Errorf("%s-batch%d: batch inner loop allocates %.2f objects/op, want 0", cfg.name, k, allocs))
-			}
-			be := run(fmt.Sprintf("%s-batch%d", cfg.name, k), bcycle)
-			be.NsPerOp /= float64(k)
-			be.BytesPerOp /= int64(k)
-			rep.Benchmarks = append(rep.Benchmarks, be)
-			rep.SpeedupNs[fmt.Sprintf("scalar(%s)/batch%d", cfg.name, k)] = inc.NsPerOp / be.NsPerOp
-		}
 	}
 
-	// End-to-end §IV-C-1 annealing searches (200·pp iterations each), with
-	// the speculative batched evaluator (the Optimize default). The
-	// pp32-scalar entry forces window 1 — the scalar reference loop over the
-	// identical trajectory — so the batching speedup is also measured
-	// in-run, on the same machine, next to the recorded pr5 baseline.
+	// End-to-end §IV-C-1 annealing searches (200·pp iterations each).
 	for _, cfg := range []struct {
 		name       string
 		scale      bool
 		tp, pp, np int
-		window     int
 	}{
-		{"optimize-placement-pp8", false, 7, 8, 2, placement.DefaultSpecWindow},
-		{"optimize-placement-pp32", false, 1, 32, 8, placement.DefaultSpecWindow},
-		{"optimize-placement-pp32-scalar", false, 1, 32, 8, 1},
-		{"optimize-placement-pp128", true, 1, 128, 32, placement.DefaultSpecWindow},
+		{"optimize-placement-pp8", false, 7, 8, 2},
+		{"optimize-placement-pp32", false, 1, 32, 8},
+		{"optimize-placement-pp128", true, 1, 128, 32},
 	} {
 		om := mesh.New(hw.Config3())
 		if cfg.scale {
@@ -1119,28 +1111,12 @@ func main() {
 		_, wl, err := benchutil.AnnealSubstrate(om, 1, cfg.pp, cfg.np)
 		fail(err)
 		var seed int64
-		window := cfg.window
 		rep.Benchmarks = append(rep.Benchmarks, run(cfg.name, func() {
 			seed++
-			_, err := placement.OptimizeWindow(om, cfg.tp, cfg.pp, wl, rand.New(rand.NewSource(seed)), window)
+			_, err := placement.Optimize(om, cfg.tp, cfg.pp, wl, rand.New(rand.NewSource(seed)))
 			fail(err)
 		}))
 	}
-	speedupPair := func(key, num, den string) {
-		var n, d float64
-		for _, b := range rep.Benchmarks {
-			switch b.Name {
-			case num:
-				n = b.NsPerOp
-			case den:
-				d = b.NsPerOp
-			}
-		}
-		if n > 0 && d > 0 {
-			rep.SpeedupNs[key] = n / d
-		}
-	}
-	speedupPair("scalar(optimize-placement-pp32)/speculative", "optimize-placement-pp32-scalar", "optimize-placement-pp32")
 
 	rep.Benchmarks = append(rep.Benchmarks, gaGenerationBench("ga-generation", fail))
 

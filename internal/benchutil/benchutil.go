@@ -67,31 +67,6 @@ func AnnealSwapCycle(sc *placement.Scorer, pp int, rng *rand.Rand) func() {
 	}
 }
 
-// AnnealBatchCycle returns one speculative batch pass over a ScorerBatch —
-// propose k random swaps, evaluate each candidate with EvaluateOne, and
-// commit a random one on a 1-in-8 coin (the late-anneal acceptance shape,
-// where most passes reject the whole window). The closure is the measured
-// body of the anneal-swap-batch benchmarks and the batch zero-alloc guard;
-// divide the closure time by k for per-candidate cost.
-func AnnealBatchCycle(batch *placement.ScorerBatch, pp, k int, rng *rand.Rand) func() {
-	return func() {
-		batch.Reset()
-		for batch.Len() < k {
-			a, b := rng.Intn(pp), rng.Intn(pp)
-			if a == b {
-				continue
-			}
-			batch.Propose(a, b)
-		}
-		for i := 0; i < k; i++ {
-			batch.EvaluateOne(i)
-		}
-		if rng.Intn(8) == 0 {
-			batch.Commit(rng.Intn(k))
-		}
-	}
-}
-
 // AnnealSwapCycleFull is the PR3-era mirror of AnnealSwapCycle: the same
 // RNG protocol, scored by a full Eq 2 re-evaluation per iteration.
 func AnnealSwapCycleFull(m *mesh.Mesh, anchors []mesh.DieID, w placement.Workload, occupied *mesh.LinkSet, pp int, rng *rand.Rand) func() {

@@ -54,8 +54,8 @@ type Scorer struct {
 	// occCount is the pipeline-path link multiset; occ is its boolean view
 	// (the γ-conflict set of Eq 2), with membership flips recorded in the
 	// dirty mask each swap. occOne is the "multiplicity exactly one" word
-	// vector, maintained in lock-step: together with occ it lets the batch
-	// evaluator decide a zero crossing under a ±1 delta with two word
+	// vector, maintained in lock-step: together with occ it lets the swap
+	// kernel (ScorerBatch) decide a zero crossing under a ±1 delta with two word
 	// operations.
 	occCount []int32
 	occ      *mesh.LinkSet
@@ -89,7 +89,7 @@ type Scorer struct {
 
 	// gen counts committed-state changes (Reset, Apply). ScorerBatch keys
 	// its cached base term vector on it: a Revert restores every stored term
-	// bit for bit, so only commits invalidate the batch base.
+	// bit for bit, so only commits invalidate the kernel's base.
 	gen int64
 
 	// pending swap, held until Apply or Revert.

@@ -1,36 +1,34 @@
-// Batched K-candidate swap evaluation for the speculative annealer
-// (OptimizeWindow).
+// One-candidate swap evaluation for the annealer (Optimize).
 //
-// ScorerBatch evaluates up to K proposed two-anchor swaps against one
-// committed assignment without mutating it. It shares everything heavy with
-// the scalar Scorer — the mesh, the interned route tables, the
-// occupied-link multiset and every stored Eq 2 term — and lays its own work
-// out struct-of-arrays style:
+// ScorerBatch scores a proposed two-anchor swap against one committed
+// assignment without mutating it. It shares everything heavy with the
+// scalar Scorer — the mesh, the interned route tables, the occupied-link
+// multiset and every stored Eq 2 term — and keeps its own work in flat
+// arrays:
 //
 //   - a base term vector (pipeline-edge terms in stage order, then the
 //     finite valid pair terms in declaration order) snapshotted from the
 //     committed Scorer and keyed on its generation counter;
-//   - one shared candidate term vector kept equal to the base between
+//   - one candidate term vector kept equal to the base between
 //     evaluations: a candidate patches only its dirty entries (≤4 pipeline
 //     edges, moved pairs, γ-touched pairs), sums, then restores them;
-//   - a dense per-link virtual-occupancy plane reused across the K
-//     candidates through epoch stamping (no clearing passes), distilled per
-//     candidate into an occupancy-after word vector so pair γ counts are
-//     flat AND+popcount loops over interned link masks.
+//   - interned link bitmasks of every committed route, so the candidate's
+//     occupancy edit and each pair's γ count are flat AND+popcount loops
+//     (with an epoch-stamped per-link plane as the exact general fallback).
 //
-// Each candidate's cost then falls out of one flat []float64 lane sum.
 // Because every lane entry is either the committed term (bit-copied) or
 // recomputed with the exact expression the scalar path uses, and the lane
-// sum visits terms in the scalar resum order, each candidate's cost is
-// bit-identical to what a sequential SwapDelta would return from the same
-// committed state — pinned by TestScorerBatchMatchesSwapDelta. Invalid and
-// infinite pair terms appear as +0.0 lane entries, an exact additive
-// identity, so layout never perturbs a single float bit.
+// sum visits terms in the scalar resum order, the candidate's cost is
+// bit-identical to what SwapDelta would return from the same committed
+// state — pinned by TestScorerBatchMatchesSwapDelta and
+// FuzzScorerBatchEval. Invalid and infinite pair terms appear as +0.0 lane
+// entries, an exact additive identity, so layout never perturbs a single
+// float bit.
 //
-// Relative to K scalar SwapDelta+Revert round trips, a batch pass performs
+// Relative to a scalar SwapDelta+Revert round trip, an evaluation performs
 // no revert sweep, no inverted-index detach/attach churn and no multiset
-// writes — rejected candidates (the vast majority in the late anneal) cost
-// one read-only evaluation instead of two full incremental rewrites.
+// writes — a rejected candidate (the vast majority in the late anneal)
+// costs one read-only evaluation instead of two full incremental rewrites.
 package placement
 
 import (
@@ -40,16 +38,11 @@ import (
 	"repro/internal/mesh"
 )
 
-// ScorerBatch is a K-candidate batch evaluator over a Scorer's committed
+// ScorerBatch is the one-candidate swap evaluator over a Scorer's committed
 // state. Like the Scorer it is single-goroutine scratch: share one per
 // worker, never across workers.
 type ScorerBatch struct {
-	sc  *Scorer
-	kap int
-
-	n     int
-	candA []int32
-	candB []int32
+	sc *Scorer
 
 	// Base term vector of the committed state: pipeline-edge terms in stage
 	// order followed by the valid pairs' terms in declaration order (+0.0
@@ -61,11 +54,11 @@ type ScorerBatch struct {
 	// (pipeline slots x-1..y are; pair slots start at pp-1), so the sum can
 	// start from pfx[d0] bit-exactly and skip the clean prefix.
 	//
-	// lane is the single shared candidate term vector, kept equal to base
-	// between candidates: an evaluation writes only its dirty slots (the
-	// patched list), sums lane[d0:] in the scalar resum order, then restores
-	// the patched slots from base — no per-candidate O(nterm) copy and no
-	// second sum pass over stored lanes.
+	// lane is the candidate term vector, kept equal to base between
+	// candidates: an evaluation writes only its dirty slots (the patched
+	// list), sums lane[d0:] in the scalar resum order, then restores the
+	// patched slots from base — no per-candidate O(nterm) copy and no second
+	// sum pass over stored lanes.
 	nterm    int
 	pairSlot []int32
 	base     []float64
@@ -148,103 +141,59 @@ type ScorerBatch struct {
 	movedEpoch  []int32
 }
 
-// NewScorerBatch returns a batch evaluator of capacity k over sc's
-// committed state. The batch observes sc through its generation counter:
-// any commit (Apply, Reset) — including the batch's own Commit — refreshes
-// the base snapshot on the next EvaluateOne.
-func NewScorerBatch(sc *Scorer, k int) *ScorerBatch {
-	if k < 1 {
-		k = 1
-	}
-	b := &ScorerBatch{
-		sc:    sc,
-		kap:   k,
-		candA: make([]int32, 0, k),
-		candB: make([]int32, 0, k),
-		gen:   sc.gen - 1, // force a base sync on first EvaluateOne
-	}
-	return b
+// NewScorerBatch returns an evaluator over sc's committed state. It observes
+// sc through its generation counter: any commit (Apply, Reset) — including
+// the evaluator's own Commit — refreshes the base snapshot on the next Eval.
+func NewScorerBatch(sc *Scorer) *ScorerBatch {
+	return &ScorerBatch{sc: sc, gen: sc.gen - 1} // force a base sync on first Eval
 }
 
-// Len returns the number of proposed candidates.
-func (b *ScorerBatch) Len() int { return b.n }
-
-// Reset discards all proposed candidates without touching the Scorer.
-func (b *ScorerBatch) Reset() {
-	b.n = 0
-	b.candA = b.candA[:0]
-	b.candB = b.candB[:0]
-}
-
-// Propose queues the swap of stages x and y as a batch candidate and
-// returns its index. Candidates may overlap arbitrarily: each is evaluated
-// independently against the committed state, exactly as a sequential
-// SwapDelta from that state would be.
-func (b *ScorerBatch) Propose(x, y int) int {
+// Eval returns the cost of the committed assignment with stages x and y
+// swapped, bit-identical to the newCost SwapDelta(x, y) would return. The
+// committed state itself is not touched.
+func (b *ScorerBatch) Eval(x, y int) float64 {
 	if b.sc.pending {
-		panic("placement: ScorerBatch.Propose with a pending swap on the Scorer")
+		panic("placement: ScorerBatch.Eval with a pending swap on the Scorer")
 	}
 	if x == y {
-		panic("placement: ScorerBatch.Propose of a degenerate swap")
-	}
-	if b.n == b.kap {
-		panic("placement: ScorerBatch full")
-	}
-	b.candA = append(b.candA, int32(x))
-	b.candB = append(b.candB, int32(y))
-	b.n++
-	return b.n - 1
-}
-
-// EvaluateOne computes the cost of candidate i's assignment without
-// evaluating any other candidate. The cost is bit-identical to the newCost
-// a sequential SwapDelta of that candidate would return from the committed
-// state; the committed state itself is not touched. The speculative
-// annealer replays
-// Metropolis decisions in draw order and commits at the first acceptance,
-// so evaluating lazily in replay order means candidates past the
-// acceptance point are never evaluated at all.
-func (b *ScorerBatch) EvaluateOne(i int) float64 {
-	if b.sc.pending {
-		panic("placement: ScorerBatch.EvaluateOne with a pending swap on the Scorer")
-	}
-	if i < 0 || i >= b.n {
-		panic("placement: ScorerBatch.EvaluateOne index out of range")
+		panic("placement: ScorerBatch.Eval of a degenerate swap")
 	}
 	if b.gen != b.sc.gen {
 		b.syncBase()
 	}
-	return b.evalCand(i)
+	if b.maskOK {
+		return b.evalCandMask(x, y)
+	}
+	return b.evalCandLinks(x, y)
 }
 
-// Commit applies candidate i to the Scorer's committed state (advancing its
-// generation, which invalidates the batch base) and discards the batch. It
-// returns the committed cost, re-derived through the scalar SwapDelta path
-// so the Scorer's own incremental invariants are maintained normally. When
-// the base was in sync with the pre-commit state, the snapshot is refreshed
-// incrementally — a swap moves two anchors, four edges and the pairs
-// attached to them; everything structural is unchanged.
-func (b *ScorerBatch) Commit(i int) float64 {
-	if i < 0 || i >= b.n {
-		panic("placement: ScorerBatch.Commit index out of range")
+// Commit applies the swap of stages x and y to the Scorer's committed state
+// (advancing its generation) and returns the committed cost, re-derived
+// through the scalar SwapDelta path so the Scorer's own incremental
+// invariants are maintained normally. When the base was in sync with the
+// pre-commit state, the snapshot is refreshed incrementally — a swap moves
+// two anchors, four edges and the pairs attached to them; everything
+// structural is unchanged.
+func (b *ScorerBatch) Commit(x, y int) float64 {
+	if x == y {
+		panic("placement: ScorerBatch.Commit of a degenerate swap")
 	}
-	x, y := int(b.candA[i]), int(b.candB[i])
 	wasSynced := b.gen == b.sc.gen
 	c, _ := b.sc.SwapDelta(x, y)
 	b.sc.Apply()
 	if wasSynced {
 		b.syncAfterSwap(x, y)
 	}
-	b.Reset()
 	return c
 }
 
-// syncAfterSwap incrementally refreshes the base snapshot after the batch's
-// own Commit applied swap (x, y). The term layout (pairValid depends only on
-// stage indices, which a swap never changes), the plane sizes and the mesh
-// tables are untouched; what moved is the two anchor indices, the routes and
-// masks of the ≤4 adjacent edges, the paths of the pairs attached to x or y,
-// and potentially any term value (γ ripples) — so only those are rebuilt.
+// syncAfterSwap incrementally refreshes the base snapshot after the
+// evaluator's own Commit applied swap (x, y). The term layout (pairValid
+// depends only on stage indices, which a swap never changes), the plane
+// sizes and the mesh tables are untouched; what moved is the two anchor
+// indices, the routes and masks of the ≤4 adjacent edges, the paths of the
+// pairs attached to x or y, and potentially any term value (γ ripples) — so
+// only those are rebuilt.
 func (b *ScorerBatch) syncAfterSwap(x, y int) {
 	sc := b.sc
 	b.anchorIdx[x], b.anchorIdx[y] = b.anchorIdx[y], b.anchorIdx[x]
@@ -529,19 +478,6 @@ func (b *ScorerBatch) edgePathIDs(s, x, y int) []int32 {
 	return b.sc.m.XYPathIDs(b.vAnchor(s, x, y), b.vAnchor(s+1, x, y))
 }
 
-// evalCand fills candidate k's term lane: flat-copy the committed base,
-// then patch exactly the entries the virtual swap dirties. The word-parallel
-// mask path handles the common case (interned mesh, no link shared between
-// two dirty edges); the per-link plane is the exact general fallback.
-func (b *ScorerBatch) evalCand(k int) float64 {
-	if b.maskOK {
-		if c, ok := b.evalCandMask(k); ok {
-			return c
-		}
-	}
-	return b.evalCandLinks(k)
-}
-
 // sumRestore finishes a candidate: it sums the patched lane from pfx[d0] in
 // the exact scalar resum order, then restores every patched slot to its base
 // value, re-establishing the lane == base invariant for the next candidate.
@@ -570,9 +506,8 @@ func (b *ScorerBatch) sumRestore(d0 int) float64 {
 // The few ovW links (pipeline chains are locally collinear, so rerouted
 // paths do retrace neighbouring edges) are resolved exactly by probing the
 // edge masks for the link's net multiset delta.
-func (b *ScorerBatch) evalCandMask(k int) (float64, bool) {
+func (b *ScorerBatch) evalCandMask(x, y int) float64 {
 	sc := b.sc
-	x, y := int(b.candA[k]), int(b.candB[k])
 	ai := b.anchorIdx
 
 	// The ≤4 dirty edges in scalar applySwap order (x-1, x, y-1, y, clamped
@@ -755,15 +690,14 @@ func (b *ScorerBatch) evalCandMask(k int) (float64, bool) {
 		occW = b.occAfter
 	}
 	b.finishCand(x, y, ep, occW, flipped)
-	return b.sumRestore(d0), true
+	return b.sumRestore(d0)
 }
 
 // evalCandLinks is the exact per-link evaluation used whenever the
-// word-parallel path is unavailable (mesh beyond the interning bound) or
-// inapplicable (two dirty edges touching one link).
-func (b *ScorerBatch) evalCandLinks(k int) float64 {
+// word-parallel path is unavailable (mesh beyond the interning bound or the
+// stack plane width, or an off-mesh anchor).
+func (b *ScorerBatch) evalCandLinks(x, y int) float64 {
 	sc := b.sc
-	x, y := int(b.candA[k]), int(b.candB[k])
 	d0 := x - 1
 	if y < x {
 		d0 = y - 1

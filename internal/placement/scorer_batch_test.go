@@ -9,45 +9,6 @@ import (
 	"repro/internal/recompute"
 )
 
-// TestSpecRandMatchesMathRand pins the rewindable RNG view against
-// math/rand itself: every derivation (Intn across power-of-two and
-// rejection-loop moduli, Float64) must return the same values in the same
-// stream positions, including after mis-speculation rewinds where buffered
-// raw draws are reinterpreted under a different call sequence.
-func TestSpecRandMatchesMathRand(t *testing.T) {
-	for seed := int64(1); seed <= 25; seed++ {
-		ref := rand.New(rand.NewSource(seed))
-		sr := newSpecRand(rand.New(rand.NewSource(seed)))
-		pat := rand.New(rand.NewSource(seed * 997))
-		for i := 0; i < 4000; i++ {
-			switch pat.Intn(4) {
-			case 0:
-				n := 1 + pat.Intn(200)
-				if got, want := sr.intn(n), ref.Intn(n); got != want {
-					t.Fatalf("seed %d step %d: intn(%d) = %d, want %d", seed, i, n, got, want)
-				}
-			case 1:
-				if got, want := sr.float64(), ref.Float64(); got != want {
-					t.Fatalf("seed %d step %d: float64 = %x, want %x", seed, i, got, want)
-				}
-			case 2:
-				// Mis-speculation: draw a threshold ahead, rewind it, and
-				// reinterpret the same raw values as the next proposal —
-				// the reference never draws the threshold at all.
-				m := sr.mark()
-				sr.float64()
-				sr.rewind(m)
-				n := 2 + pat.Intn(100)
-				if got, want := sr.intn(n), ref.Intn(n); got != want {
-					t.Fatalf("seed %d step %d: post-rewind intn(%d) = %d, want %d", seed, i, n, got, want)
-				}
-			case 3:
-				sr.compact()
-			}
-		}
-	}
-}
-
 // batchWorkload builds the randomized cross-check workload of
 // TestScorerMatchesFullEval: pipeline volumes with a zero tail edge, plus
 // pairs including degenerate and out-of-range entries.
@@ -73,13 +34,13 @@ func batchWorkload(rng *rand.Rand, pp int) Workload {
 }
 
 // TestScorerBatchMatchesSwapDelta is the randomized bit-identity contract
-// of the batch evaluator: every candidate cost must equal — exact float
-// bits — what a sequential SwapDelta returns from the same committed state,
-// on both the square and mesh-switch topologies, with overlapping
-// candidates in every batch and commits advancing the state between
-// batches (the invalidation lifecycle the speculative annealer relies on).
+// of the swap kernel: every Eval must equal — exact float bits — what
+// SwapDelta returns from the same committed state, on both the square and
+// mesh-switch topologies, with several (possibly repeated) candidates per
+// round and commits advancing the state between rounds (the invalidation
+// lifecycle the annealer relies on).
 func TestScorerBatchMatchesSwapDelta(t *testing.T) {
-	totalBatches := 0
+	totalRounds := 0
 	for _, tc := range scorerTopologies() {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(77))
@@ -93,14 +54,13 @@ func TestScorerBatchMatchesSwapDelta(t *testing.T) {
 			}
 			for trial := 0; trial < 3; trial++ {
 				w := batchWorkload(rng, tc.pp)
-				// sc carries the committed state the batch evaluates
+				// sc carries the committed state the kernel evaluates
 				// against; ref is an independent scalar mirror.
 				sc := NewScorer(tc.m, anchors, w)
 				ref := NewScorer(tc.m, anchors, w)
-				batch := NewScorerBatch(sc, 8)
+				kernel := NewScorerBatch(sc)
 				cand := make([][2]int, 0, 8)
-				for b := 0; b < 150; b++ {
-					batch.Reset()
+				for r := 0; r < 150; r++ {
 					cand = cand[:0]
 					k := 1 + rng.Intn(8)
 					for len(cand) < k {
@@ -108,32 +68,29 @@ func TestScorerBatchMatchesSwapDelta(t *testing.T) {
 						if x == y {
 							continue
 						}
-						// Duplicate and overlapping candidates are allowed
-						// and must still evaluate independently.
-						batch.Propose(x, y)
 						cand = append(cand, [2]int{x, y})
 					}
 					for j, c := range cand {
-						got := batch.EvaluateOne(j)
+						got := kernel.Eval(c[0], c[1])
 						want, _ := ref.SwapDelta(c[0], c[1])
 						ref.Revert()
 						if got != want {
-							t.Fatalf("trial %d batch %d cand %d (%d,%d): batch = %x, scalar SwapDelta = %x",
-								trial, b, j, c[0], c[1], math.Float64bits(got), math.Float64bits(want))
+							t.Fatalf("trial %d round %d cand %d (%d,%d): Eval = %x, scalar SwapDelta = %x",
+								trial, r, j, c[0], c[1], math.Float64bits(got), math.Float64bits(want))
 						}
 					}
-					totalBatches++
-					// Commit a random candidate every few batches: the new
+					totalRounds++
+					// Commit a random candidate every few rounds: the new
 					// committed state supersedes every earlier evaluation,
-					// and the next batch must re-sync bit-exactly.
+					// and the next Eval must re-sync bit-exactly.
 					if rng.Intn(3) == 0 {
-						j := rng.Intn(k)
-						got := batch.Commit(j)
-						want, _ := ref.SwapDelta(cand[j][0], cand[j][1])
+						c := cand[rng.Intn(k)]
+						got := kernel.Commit(c[0], c[1])
+						want, _ := ref.SwapDelta(c[0], c[1])
 						ref.Apply()
 						if got != want {
-							t.Fatalf("trial %d batch %d: commit = %x, scalar = %x",
-								trial, b, math.Float64bits(got), math.Float64bits(want))
+							t.Fatalf("trial %d round %d: commit = %x, scalar = %x",
+								trial, r, math.Float64bits(got), math.Float64bits(want))
 						}
 					}
 				}
@@ -144,19 +101,19 @@ func TestScorerBatchMatchesSwapDelta(t *testing.T) {
 			}
 		})
 	}
-	if totalBatches < 1000 {
-		t.Fatalf("cross-check covered %d batches, want ≥1000", totalBatches)
+	if totalRounds < 1000 {
+		t.Fatalf("cross-check covered %d rounds, want ≥1000", totalRounds)
 	}
 }
 
 // TestScorerBatchAfterReset pins the re-targeting lifecycle: resetting the
-// underlying Scorer to a new assignment and workload must re-sync the batch
-// base, with candidate costs again bit-identical to SwapDelta.
+// underlying Scorer to a new assignment and workload must re-sync the
+// kernel's base, with candidate costs again bit-identical to SwapDelta.
 func TestScorerBatchAfterReset(t *testing.T) {
 	m := scorerTopologies()[0].m
 	rng := rand.New(rand.NewSource(5))
 	sc := NewScorer(m, nil, Workload{})
-	batch := NewScorerBatch(sc, 4)
+	kernel := NewScorerBatch(sc)
 	for trial := 0; trial < 40; trial++ {
 		pp := 2 + rng.Intn(12)
 		tp := 1 + rng.Intn(56/pp)
@@ -172,24 +129,19 @@ func TestScorerBatchAfterReset(t *testing.T) {
 		w := batchWorkload(rng, pp)
 		sc.Reset(anchors, w)
 		ref := NewScorer(m, anchors, w)
-		batch.Reset()
-		cand := make([][2]int, 0, 4)
-		for len(cand) < 4 {
+		for j := 0; j < 4; {
 			x, y := rng.Intn(pp), rng.Intn(pp)
 			if x == y {
 				continue
 			}
-			batch.Propose(x, y)
-			cand = append(cand, [2]int{x, y})
-		}
-		for j, c := range cand {
-			got := batch.EvaluateOne(j)
-			want, _ := ref.SwapDelta(c[0], c[1])
+			got := kernel.Eval(x, y)
+			want, _ := ref.SwapDelta(x, y)
 			ref.Revert()
 			if got != want {
-				t.Fatalf("trial %d cand %d: batch = %x, scalar = %x",
+				t.Fatalf("trial %d cand %d: Eval = %x, scalar = %x",
 					trial, j, math.Float64bits(got), math.Float64bits(want))
 			}
+			j++
 		}
 	}
 }
@@ -203,7 +155,7 @@ func TestScorerBatchDiscipline(t *testing.T) {
 		anchors[i] = base[i].Anchor()
 	}
 	sc := NewScorer(tc.m, anchors, fig11Workload())
-	batch := NewScorerBatch(sc, 2)
+	kernel := NewScorerBatch(sc)
 	mustPanic := func(name string, fn func()) {
 		t.Helper()
 		defer func() {
@@ -213,23 +165,67 @@ func TestScorerBatchDiscipline(t *testing.T) {
 		}()
 		fn()
 	}
-	mustPanic("degenerate propose", func() { batch.Propose(3, 3) })
-	batch.Propose(0, 1)
-	batch.Propose(2, 3)
-	mustPanic("propose beyond capacity", func() { batch.Propose(4, 5) })
-	mustPanic("commit out of range", func() { batch.Commit(2) })
-	mustPanic("evaluate out of range", func() { batch.EvaluateOne(2) })
+	mustPanic("degenerate eval", func() { kernel.Eval(3, 3) })
+	mustPanic("degenerate commit", func() { kernel.Commit(3, 3) })
 	sc.SwapDelta(0, 1)
-	mustPanic("propose with pending scalar swap", func() { batch.Reset(); batch.Propose(0, 1) })
-	mustPanic("evaluate with pending scalar swap", func() { batch.EvaluateOne(0) })
+	mustPanic("eval with pending scalar swap", func() { kernel.Eval(0, 1) })
+	mustPanic("commit with pending scalar swap", func() { kernel.Commit(2, 3) })
 	sc.Revert()
 }
 
-// TestOptimizeSpeculativeMatchesScalar pins the speculative annealer's
-// trajectory: for every window size the returned placement must be
-// identical to the scalar loop's, across seeds and topologies — the
-// rewindable RNG and the bit-identical batch costs together reproduce
-// every proposal and Metropolis decision exactly.
+// optimizeScalar is the trajectory reference of Optimize: the same anneal
+// scored by the scalar SwapDelta, with Apply on acceptance and Revert
+// otherwise.
+func optimizeScalar(m *mesh.Mesh, tp, pp int, w Workload, rng *rand.Rand) (*Placement, error) {
+	base, err := Partition(m, tp, pp)
+	if err != nil {
+		return nil, err
+	}
+	anchors := make([]mesh.DieID, pp)
+	perm := make([]int, pp)
+	for i := range base {
+		anchors[i] = base[i].Anchor()
+		perm[i] = i
+	}
+	sc := NewScorer(m, anchors, w)
+	curCost := sc.Cost()
+	bestPerm := append([]int(nil), perm...)
+	bestCost := curCost
+	temp := curCost * 0.1
+	if temp <= 0 {
+		temp = 1
+	}
+	for i := 0; pp > 1 && i < 200*pp; i++ {
+		a, b := rng.Intn(pp), rng.Intn(pp)
+		if a == b {
+			continue
+		}
+		perm[a], perm[b] = perm[b], perm[a]
+		c, _ := sc.SwapDelta(a, b)
+		if c <= curCost || rng.Float64() < math.Exp((curCost-c)/math.Max(temp, 1e-12)) {
+			sc.Apply()
+			curCost = c
+			if c < bestCost {
+				bestCost = c
+				copy(bestPerm, perm)
+			}
+		} else {
+			perm[a], perm[b] = perm[b], perm[a]
+			sc.Revert()
+		}
+		temp *= 0.995
+	}
+	regions := make([]Region, pp)
+	for s, r := range bestPerm {
+		regions[s] = base[r]
+	}
+	return &Placement{Regions: regions}, nil
+}
+
+// TestOptimizeSpeculativeMatchesScalar pins the annealer's trajectory: across
+// seeds and topologies, Optimize must return the placement of the scalar
+// reference loop and leave the generator in the same state — every
+// proposal, Metropolis decision and RNG draw is reproduced exactly.
 func TestOptimizeSpeculativeMatchesScalar(t *testing.T) {
 	for _, tc := range scorerTopologies() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -246,34 +242,39 @@ func TestOptimizeSpeculativeMatchesScalar(t *testing.T) {
 				},
 			}
 			for seed := int64(1); seed <= 5; seed++ {
-				scalar, err := OptimizeWindow(tc.m, tc.tp, tc.pp, w, rand.New(rand.NewSource(seed)), 1)
+				refRng := rand.New(rand.NewSource(seed))
+				scalar, err := optimizeScalar(tc.m, tc.tp, tc.pp, w, refRng)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, win := range []int{2, 3, 8, 32} {
-					spec, err := OptimizeWindow(tc.m, tc.tp, tc.pp, w, rand.New(rand.NewSource(seed)), win)
-					if err != nil {
-						t.Fatal(err)
+				rng := rand.New(rand.NewSource(seed))
+				got, err := Optimize(tc.m, tc.tp, tc.pp, w, rng)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for s := range scalar.Regions {
+					if len(scalar.Regions[s].Dies) != len(got.Regions[s].Dies) {
+						t.Fatalf("seed %d: stage %d region size differs", seed, s)
 					}
-					for s := range scalar.Regions {
-						if len(scalar.Regions[s].Dies) != len(spec.Regions[s].Dies) {
-							t.Fatalf("seed %d window %d: stage %d region size differs", seed, win, s)
-						}
-						for i := range scalar.Regions[s].Dies {
-							if scalar.Regions[s].Dies[i] != spec.Regions[s].Dies[i] {
-								t.Fatalf("seed %d window %d: stage %d die %d differs: %v vs %v",
-									seed, win, s, i, scalar.Regions[s].Dies[i], spec.Regions[s].Dies[i])
-							}
+					for i := range scalar.Regions[s].Dies {
+						if scalar.Regions[s].Dies[i] != got.Regions[s].Dies[i] {
+							t.Fatalf("seed %d: stage %d die %d differs: %v vs %v",
+								seed, s, i, scalar.Regions[s].Dies[i], got.Regions[s].Dies[i])
 						}
 					}
+				}
+				if g, want := rng.Int63(), refRng.Int63(); g != want {
+					t.Fatalf("seed %d: post-run generator diverged: next Int63 %d, reference %d", seed, g, want)
 				}
 			}
 		})
 	}
 }
 
-// TestScorerBatchZeroAlloc asserts the batch propose/EvaluateOne/commit
-// cycle performs no steady-state allocations on an interned mesh.
+// TestScorerBatchZeroAlloc asserts the annealer's kernel cycle — Eval, plus
+// a Commit on one draw in four — performs no steady-state allocations on an
+// interned mesh. Each measured run does 8 Evals, so one allocation per Eval
+// reads as at least 8 objects/op rather than rounding down to 0.
 func TestScorerBatchZeroAlloc(t *testing.T) {
 	tc := scorerTopologies()[0]
 	base, err := Partition(tc.m, tc.tp, tc.pp)
@@ -285,32 +286,103 @@ func TestScorerBatchZeroAlloc(t *testing.T) {
 		anchors[i] = base[i].Anchor()
 	}
 	sc := NewScorer(tc.m, anchors, fig11Workload())
-	const k = 8
-	batch := NewScorerBatch(sc, k)
+	kernel := NewScorerBatch(sc)
 	rng := rand.New(rand.NewSource(11))
 	cycle := func() {
-		batch.Reset()
-		for batch.Len() < k {
+		for i := 0; i < 8; i++ {
 			x, y := rng.Intn(tc.pp), rng.Intn(tc.pp)
-			if x == y {
-				continue
+			for x == y {
+				y = rng.Intn(tc.pp)
 			}
-			batch.Propose(x, y)
-		}
-		for i := 0; i < k; i++ {
-			batch.EvaluateOne(i)
-		}
-		// Commit one candidate every few cycles: the base re-sync after a
-		// commit must also be allocation-free.
-		if rng.Intn(4) == 0 {
-			batch.Commit(rng.Intn(k))
+			kernel.Eval(x, y)
+			// The base re-sync after a commit must also be allocation-free.
+			if rng.Intn(4) == 0 {
+				kernel.Commit(x, y)
+			}
 		}
 	}
-	// Warm the shared inverted index and the batch planes to steady state.
-	for i := 0; i < 500; i++ {
+	// Warm the shared inverted index and the kernel planes to steady state.
+	for i := 0; i < 1000; i++ {
 		cycle()
 	}
 	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
-		t.Fatalf("batch propose/EvaluateOne/commit cycle allocates %.1f objects/op, want 0", allocs)
+		t.Fatalf("Eval/Commit cycle allocates %.1f objects/op, want 0", allocs)
 	}
+}
+
+// FuzzScorerBatchEval decodes the input into a topology, a (tp, pp)
+// partition, pipeline volumes (zeros included), Mem_pairs (out-of-range and
+// degenerate ones included) and a sequence of (x, y, commit?) steps. Every
+// Eval must equal SwapDelta bit for bit, and after every Commit the kernel's
+// Scorer must hold the cost of a scalar mirror that went through the same
+// SwapDelta/Apply steps.
+func FuzzScorerBatchEval(f *testing.F) {
+	meshes := []*mesh.Mesh{scorerTopologies()[0].m, scorerTopologies()[2].m}
+	f.Add([]byte{0, 6, 6, 1, 2, 3, 4, 5, 0, 3, 0, 7, 9, 2, 2, 9, 1, 0, 3, 1, 2, 5, 0, 5, 2, 1})
+	f.Add([]byte{1, 11, 3, 255, 0, 128, 64, 32, 1, 8, 200, 4, 0, 12, 7, 13, 0, 0, 1, 1, 11, 0, 1, 4, 9, 0, 9, 4, 1})
+	f.Add([]byte{0, 0, 0})
+	gen := rand.New(rand.NewSource(1))
+	for i := 0; i < 8; i++ {
+		seed := make([]byte, 16+gen.Intn(160))
+		gen.Read(seed)
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			v := int(data[0])
+			data = data[1:]
+			return v
+		}
+		m := meshes[next()%len(meshes)]
+		pp := 2 + next()%31
+		if pp > m.Dies() {
+			pp = m.Dies()
+		}
+		tp := 1 + next()%(m.Dies()/pp)
+		base, err := Partition(m, tp, pp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perm := rand.New(rand.NewSource(int64(next()))).Perm(pp)
+		anchors := make([]mesh.DieID, pp)
+		for i := range anchors {
+			anchors[i] = base[perm[i]].Anchor()
+		}
+		w := Workload{PipelineBytes: make([]float64, pp-1)}
+		for i := range w.PipelineBytes {
+			w.PipelineBytes[i] = float64(next()) * 1.7e7
+		}
+		for n := next() % 10; n > 0; n-- {
+			// Endpoints span -1..pp: both out-of-range ends and, when they
+			// coincide, degenerate pairs.
+			w.Pairs = append(w.Pairs, memPair(next()%(pp+2)-1, next()%(pp+2)-1, float64(1+next())*1.3e7))
+		}
+		sc := NewScorer(m, anchors, w)
+		ref := NewScorer(m, anchors, w)
+		kernel := NewScorerBatch(sc)
+		for step := 0; step < 64 && len(data) > 0; step++ {
+			x, y, commit := next()%pp, next()%pp, next()&1 == 1
+			if x == y {
+				continue
+			}
+			got := kernel.Eval(x, y)
+			want, _ := ref.SwapDelta(x, y)
+			if got != want {
+				t.Fatalf("step %d (%d,%d): Eval = %x, SwapDelta = %x",
+					step, x, y, math.Float64bits(got), math.Float64bits(want))
+			}
+			if !commit {
+				ref.Revert()
+				continue
+			}
+			ref.Apply()
+			if c := kernel.Commit(x, y); c != want || sc.Cost() != ref.Cost() {
+				t.Fatalf("step %d (%d,%d): Commit = %x, Cost = %x, mirror = %x",
+					step, x, y, math.Float64bits(c), math.Float64bits(sc.Cost()), math.Float64bits(ref.Cost()))
+			}
+		}
+	})
 }

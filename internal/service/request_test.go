@@ -7,24 +7,42 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestRequestRejectsNegativeParallelism: a negative parallelism field would
-// run as the default request under a different fingerprint, so the daemon
-// refuses it with a 400 naming the field, as it does an unknown priority.
+// run as the default request under a different fingerprint, and a search's
+// memory grows with batch and sequence length, so the daemon refuses either
+// at once with a 400 naming the field, as it does an unknown priority. The
+// workload limits themselves stay accepted.
 func TestRequestRejectsNegativeParallelism(t *testing.T) {
 	s := NewServer(Options{EvalWorkers: 1}, nil)
 	defer s.Close()
+	type row struct{ body, want string }
+	var rows []row
 	for _, field := range []string{"fixed_tp", "fixed_pp", "max_tp", "pipeline_wafers", "deadline_ms"} {
-		body := `{"model":"Llama2-30B","config":"config3","seq":2048,"` + field + `":-2}`
+		rows = append(rows, row{`{"model":"Llama2-30B","config":"config3","seq":2048,"` + field + `":-2}`, "negative " + field})
+	}
+	rows = append(rows,
+		row{`{"config":"config3","batch":1099511627776}`, "batch 1099511627776 exceeds"},
+		row{`{"config":"config3","batch":65537}`, "batch 65537 exceeds"},
+		row{`{"config":"config3","seq":1048577}`, "seq 1048577 exceeds"})
+	for _, tc := range rows {
+		start := time.Now()
 		rec := httptest.NewRecorder()
-		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(body)))
-		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "negative "+field) {
-			t.Errorf("%s: HTTP %d %s, want 400 naming the field", field, rec.Code, rec.Body)
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(tc.body)))
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), tc.want) {
+			t.Errorf("%s: HTTP %d %s, want 400 %q", tc.body, rec.Code, rec.Body, tc.want)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("%s: refused after %v, want within 1s", tc.body, d)
 		}
 	}
 	if n := s.Stats().JobsSubmitted; n != 0 {
-		t.Errorf("%d negative-field jobs admitted", n)
+		t.Errorf("%d refused jobs admitted", n)
+	}
+	if _, err := (Request{Config: "config3", Batch: maxBatch, Seq: maxSeq}).Normalize(); err != nil {
+		t.Errorf("workload at the limits rejected: %v", err)
 	}
 }
 
@@ -61,7 +79,8 @@ func TestCloseMarksBacklogShutdown(t *testing.T) {
 
 // FuzzDecodeRequest feeds arbitrary bodies through the submission decoder
 // and Normalize: no panic, every rejection is a 400, and every accepted
-// request is a fixed point of Normalize with non-negative numeric fields.
+// request is a fixed point of Normalize with non-negative numeric fields and
+// a workload within the batch and sequence limits.
 func FuzzDecodeRequest(f *testing.F) {
 	for _, r := range []Request{testRequest(), sweepRequest(), {}, {Priority: "turbo"},
 		{Model: "Llama3-405B", Seq: 2048}, {Batch: 2, Micro: 4}, {FixedTP: -1}, {MaxTP: 4, FixedPP: 2},
@@ -70,6 +89,8 @@ func FuzzDecodeRequest(f *testing.F) {
 		f.Add(body)
 	}
 	f.Add([]byte(`{"fixed_pp":-4}`))
+	f.Add([]byte(`{"config":"config3","batch":1099511627776}`))
+	f.Add([]byte(`{"seq":1048577,"micro":2}`))
 	f.Add([]byte(`{"no_such_field":1}`))
 	f.Add([]byte(`not json`))
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -99,6 +120,9 @@ func FuzzDecodeRequest(f *testing.F) {
 			if v < 0 {
 				t.Fatalf("accepted %q with a negative field: %+v", body, norm)
 			}
+		}
+		if norm.Batch <= 0 || norm.Batch > maxBatch || norm.Seq <= 0 || norm.Seq > maxSeq {
+			t.Fatalf("accepted %q with an out-of-bounds workload: %+v", body, norm)
 		}
 	})
 }

@@ -103,6 +103,15 @@ type Request struct {
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 }
 
+// maxBatch and maxSeq bound a request's workload. A search's memory and time
+// grow with both, so an unbounded value lets one request take the daemon
+// down; the limits sit far above any Table II workload. The in-process CLI
+// validates through Normalize too, so they bind there as well.
+const (
+	maxBatch = 65536
+	maxSeq   = 1 << 20
+)
+
 // Normalize applies the CLI-equivalent defaults and validates the model
 // name, architecture restriction and workload. Two requests that normalize
 // equal are guaranteed to produce byte-identical results, which is what
@@ -126,6 +135,12 @@ func (r Request) Normalize() (Request, error) {
 		r.Micro = 1
 	}
 	r.Seq = cliutil.SeqLen(spec, r.Seq)
+	if r.Batch > maxBatch {
+		return r, fmt.Errorf("batch %d exceeds the limit %d", r.Batch, maxBatch)
+	}
+	if r.Seq > maxSeq {
+		return r, fmt.Errorf("seq %d exceeds the limit %d", r.Seq, maxSeq)
+	}
 	work := model.Workload{GlobalBatch: r.Batch, MicroBatch: r.Micro, SeqLen: r.Seq}
 	if err := work.Validate(); err != nil {
 		return r, err

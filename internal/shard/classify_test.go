@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/service"
 	"repro/internal/service/client"
@@ -46,6 +48,40 @@ func TestDeterministicSweepFailureCrossTier(t *testing.T) {
 				t.Errorf("legs_degraded = %d, want 0", n)
 			}
 		})
+	}
+}
+
+// TestOversizedRequestCrossTier: a batch of 2^40 — which would run a daemon
+// out of memory — is refused within a second with the same 400 naming the
+// field by the daemon and the router, on the job and the sweep endpoint
+// alike, and reaches no shard's queue.
+func TestOversizedRequestCrossTier(t *testing.T) {
+	f := newFleet(t, 1)
+	const body = `{"config":"config3","batch":1099511627776}`
+	answers := map[string]bool{}
+	for _, base := range []string{f.servers[0].URL, f.rts.URL} {
+		for _, path := range []string{"/v1/jobs", "/v1/sweeps"} {
+			start := time.Now()
+			resp, err := http.Post(base+path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if d := time.Since(start); d > time.Second {
+				t.Errorf("%s%s: refused after %v, want within 1s", base, path, d)
+			}
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(got), `"batch `) {
+				t.Errorf("%s%s = HTTP %d %s, want 400 naming batch", base, path, resp.StatusCode, got)
+			}
+			answers[string(got)] = true
+		}
+	}
+	if len(answers) != 1 {
+		t.Errorf("tiers answered differently: %v", answers)
+	}
+	if n := f.shards[0].Stats().JobsSubmitted; n != 0 {
+		t.Errorf("%d oversized jobs reached the shard", n)
 	}
 }
 
